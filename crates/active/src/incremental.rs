@@ -47,15 +47,15 @@ use crate::admission::admission_precheck;
 use crate::lp_model::{
     build_component_lp, component_signature, components, disaggregate, lp_telemetry,
     record_admission_reject, record_quarantine, record_recovery, record_state_corrupt,
-    record_warm_attempt, revised_options, slot_runs, ActiveLp, ComponentSignature, DecomposeMode,
-    LpBackend, LpOptions, SNAPSHOT_POOL_CAP,
+    record_warm_attempt, slot_runs, solve_options, ActiveLp, ComponentSignature, DecomposeMode,
+    LpOptions, LP_METRICS, SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
-use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
+use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::horizon_slots;
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
-use abt_lp::{BasisSnapshot, LpStatus, Rat};
+use abt_lp::{supervised_solve, BasisSnapshot, LpStatus, Rat};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -139,8 +139,9 @@ impl IncrementalSolver {
 
     /// A solver with explicit [`LpOptions`]. `opts.decompose` is forced to
     /// [`DecomposeMode::Auto`] — per-component solving is what makes
-    /// incrementality work. Backends other than [`LpBackend::Revised`]
-    /// solve dirty components cold (content-cache reuse still applies).
+    /// incrementality work. Backends other than
+    /// [`abt_lp::SolverBackend::Revised`] produce no snapshots, so their
+    /// dirty components solve cold (content-cache reuse still applies).
     pub fn with_options(g: usize, opts: LpOptions) -> Result<IncrementalSolver> {
         if g == 0 {
             return Err(Error::InvalidInstance("g must be at least 1".into()));
@@ -382,7 +383,7 @@ impl IncrementalSolver {
         }
         let runs = slot_runs(&inst, self.opts.coalesce);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
-        let ropts = revised_options(&self.opts);
+        let sopts = solve_options(&self.opts);
         let mut y_runs = vec![Rat::ZERO; runs.len()];
         let mut objective = Rat::ZERO;
         let mut healthy: Vec<(usize, Rat)> = Vec::new();
@@ -436,13 +437,13 @@ impl IncrementalSolver {
                 live_quarantine.push(ckey);
                 continue;
             }
-            // Dirty: re-solve, warm where the backend supports it.
-            let lp = build_component_lp(&inst, &self.opts, &runs, comp);
+            // Dirty: re-solve, warm from the shape's snapshot pool.
+            let lp = build_component_lp(&inst, &runs, comp);
             let skey = component_signature(&inst, &runs, comp);
-            let (sol, pivots, warm_hit, snapshot) = if self.opts.backend == LpBackend::Revised {
-                let entry = self.shape_cache.get(&skey);
-                let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
-                match supervised_solve(&lp, &ropts, pool) {
+            let entry = self.shape_cache.get(&skey);
+            let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
+            let (sol, pivots, warm_hit, snapshot) =
+                match supervised_solve(&lp, &sopts.snapshots(pool), LP_METRICS) {
                     Ok(sr) => {
                         if !pool.is_empty() {
                             report.warm_attempts += 1;
@@ -464,15 +465,7 @@ impl IncrementalSolver {
                         self.quarantine.insert(ckey, f);
                         continue;
                     }
-                }
-            } else {
-                (
-                    crate::lp_model::run_backend(&lp, &self.opts),
-                    0,
-                    false,
-                    None,
-                )
-            };
+                };
             match sol.status {
                 LpStatus::Optimal => {}
                 LpStatus::Infeasible => {
@@ -909,26 +902,24 @@ mod tests {
 
     #[test]
     fn matches_all_encoding_variants() {
-        // The incremental driver under every BoundsMode × VubMode must
-        // reproduce the from-scratch objective bit for bit.
-        use crate::lp_model::{BoundsMode, VubMode};
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                let opts = LpOptions {
-                    bounds,
-                    vub,
-                    ..LpOptions::default()
-                };
-                let mut solver = IncrementalSolver::with_options(2, opts).unwrap();
-                for k in 0..3i64 {
-                    let base = 10 * k;
-                    solver.add_job(Job::new(base, base + 5, 3));
-                    let rep = solver.solve().unwrap();
-                    let scratch = solve_active_lp_with(&solver.instance().unwrap(), &opts)
-                        .unwrap()
-                        .objective;
-                    assert_eq!(rep.lp.objective, scratch, "{bounds:?} {vub:?}");
-                }
+        // The incremental driver under every ladder backend must reproduce
+        // the from-scratch objective bit for bit.
+        use abt_lp::SolverBackend;
+        for backend in [
+            SolverBackend::DenseExact,
+            SolverBackend::DenseHybrid,
+            SolverBackend::Revised,
+        ] {
+            let opts = LpOptions::default().backend(backend);
+            let mut solver = IncrementalSolver::with_options(2, opts).unwrap();
+            for k in 0..3i64 {
+                let base = 10 * k;
+                solver.add_job(Job::new(base, base + 5, 3));
+                let rep = solver.solve().unwrap();
+                let scratch = solve_active_lp_with(&solver.instance().unwrap(), &opts)
+                    .unwrap()
+                    .objective;
+                assert_eq!(rep.lp.objective, scratch, "{backend:?}");
             }
         }
     }

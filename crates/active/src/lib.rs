@@ -69,7 +69,7 @@ pub mod store;
 pub mod supervise;
 pub mod unit;
 
-pub use abt_lp::CertifyMode;
+pub use abt_lp::{CertifyMode, SolverBackend};
 pub use admission::{admission_precheck, AdmissionReject};
 pub use exact::{exact_active_time, ExactActive};
 pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker};
@@ -77,7 +77,7 @@ pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     component_vars_window, fractional_feasible, lp_telemetry, pivots_per_solve_snapshot,
     solve_active_lp, solve_active_lp_with, solve_latency_snapshot, try_solve_active_lp_with,
-    ActiveLp, BoundsMode, DecomposeMode, LpBackend, LpOptions, LpTelemetry, VubMode, WarmMode,
+    ActiveLp, DecomposeMode, LpOptions, LpTelemetry, WarmMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

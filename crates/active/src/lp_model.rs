@@ -1,7 +1,7 @@
 //! The natural LP relaxation `LP1` of the active-time IP (§3), with slot
 //! coalescing, implicit variable bounds, implicit VUB families for the
-//! `x ≤ Y` caps, and a VUB-aware bounded revised hybrid solve as the
-//! default configuration.
+//! `x ≤ Y` caps, solved down the shared supervision ladder whose first
+//! rung is the VUB-aware bounded revised simplex.
 //!
 //! # The per-slot formulation (the seed model)
 //!
@@ -30,22 +30,20 @@
 //! # Bound encodings
 //!
 //! The capacity caps `Y_I ≤ w_I` (and `y_t ≤ 1` per-slot) are *constant*
-//! upper bounds: under [`BoundsMode::Implicit`] they ride on the variables
-//! themselves (`LpProblem::set_upper`) and never become tableau rows —
-//! the bounded-variable simplex handles them in its pivoting rules.
-//! [`BoundsMode::Rows`] keeps the seed's explicit `≤` rows as the
-//! differential-test oracle.
+//! upper bounds: they ride on the variables themselves
+//! (`LpProblem::set_upper`) and never become tableau rows — the
+//! bounded-variable simplex handles them in its pivoting rules.
 //!
 //! The `x_{I,j} ≤ Y_I` caps bound one *variable by another* — a **variable
-//! upper bound** (VUB). They are the last `O(n²)` block of LP1: one row
-//! per (job, interval) pair while every other row class is `O(n)`. Under
-//! [`VubMode::Implicit`] (the default) each cap is registered as a VUB
-//! family membership (`LpProblem::set_vub`) that the revised simplex
-//! handles inside its pivoting rules — dependents rest *glued* to their
-//! `Y_I` key and basic keys carry Schrage-style augmented key columns —
-//! shrinking the working basis from `O(n²)` to `O(n)` rows.
-//! [`VubMode::Rows`] keeps the explicit `x − Y ≤ 0` rows as the
-//! differential-test oracle.
+//! upper bound** (VUB). As rows they would be the last `O(n²)` block of
+//! LP1: one row per (job, interval) pair while every other row class is
+//! `O(n)`. Instead each cap is registered as a VUB family membership
+//! (`LpProblem::set_vub`) that the revised simplex handles inside its
+//! pivoting rules — dependents rest *glued* to their `Y_I` key and basic
+//! keys carry Schrage-style augmented key columns — shrinking the working
+//! basis from `O(n²)` to `O(n)` rows. This is the only encoding the model
+//! builds; the row-encoded oracle is [`SolverBackend::DenseExact`], which
+//! materializes every bound and VUB as an explicit row before pivoting.
 //!
 //! # Component decomposition
 //!
@@ -80,8 +78,8 @@
 //! signatures build LPs with identical standard-form structure), one
 //! representative per group solves cold, and the siblings warm-start from
 //! a per-group [`abt_lp::BasisSnapshot`] pool seeded by the
-//! representative and grown by every cold-resolved miss
-//! ([`abt_lp::solve_revised_warm`]). Siblings run in parallel waves so the
+//! representative and grown by every cold-resolved miss (offered through
+//! [`abt_lp::SolveOptions::snapshots`]). Siblings run in parallel waves so the
 //! pool growth stays deterministic — warm pivot counts are exactly
 //! reproducible run to run. Warm answers are certified in exact rationals
 //! like cold ones, so `Batch` never changes an objective; cold
@@ -91,24 +89,28 @@
 //!
 //! # Solve backends
 //!
-//! The default is [`abt_lp::solve_revised`]: a bounded revised simplex in
-//! `f64` whose terminal basis is re-verified (and, if need be, re-solved)
-//! in exact rationals, so the `y` values and objective remain *exact* —
-//! the rounding algorithm's case analysis (`⌊Y_i⌋`, comparisons against ½)
-//! stays noise-free. [`LpOptions`] recovers the seed behaviour (per-slot +
-//! explicit rows + pure exact simplex) and the PR-1 default (coalesced +
-//! dense hybrid) for differential tests and benchmarks.
+//! Every component LP is solved through the shared supervision ladder,
+//! [`abt_lp::supervised_solve`], starting at the rung
+//! [`LpOptions::backend`] selects. The default
+//! [`SolverBackend::Revised`] runs a bounded revised simplex in `f64`
+//! whose terminal basis is certified in exact rationals, so the `y` values
+//! and objective remain *exact* — the rounding algorithm's case analysis
+//! (`⌊Y_i⌋`, comparisons against ½) stays noise-free. Any failure demotes
+//! down the ladder (dense hybrid, then dense exact), and every rung
+//! returns the same exact objective. [`SolverBackend::DenseExact`] starts
+//! at the last rung: the per-slot, dense-exact configuration is the
+//! differential oracle of the property tests.
 //!
-//! Every hybrid-style solve feeds the process-wide telemetry
-//! ([`lp_telemetry`]): fallbacks plus the pivot / bound-flip /
+//! Every ladder solve feeds the process-wide telemetry ([`lp_telemetry`],
+//! the `lp.*` metrics): fallbacks plus the pivot / bound-flip /
 //! refactorization / exact-certify counters, and the sharding counters
 //! (sharded solves, components solved, largest component). The experiment
-//! harness records them per experiment and CI fails when a non-adversarial
-//! workload ever needs the exact fallback.
+//! harness records them per experiment and CI fails when a
+//! non-adversarial workload ever needs the exact fallback.
 
 #![allow(clippy::needless_range_loop)] // job indices are shared across parallel vectors
 
-use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
+use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::{horizon_slots, job_feasible_in_slot};
 use abt_core::obs::{
     self,
@@ -116,45 +118,12 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    solve, solve_lp, BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport,
-    LpSolution, LpStatus, Rat, RevisedOptions, SolverBackend, DEFAULT_PRICING_WINDOW,
+    supervised_solve, BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpSolution,
+    LpStatus, Rat, SolveOptions, SolverBackend, DEFAULT_PRICING_WINDOW,
 };
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
-
-/// Which simplex path solves the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Pure exact-rational dense simplex for every pivot (the seed
-    /// behaviour).
-    Exact,
-    /// Dense float-first solve with exact terminal-basis verification and
-    /// exact fallback ([`abt_lp::solve_hybrid`]) — the PR-1 default.
-    Hybrid,
-    /// Bounded-variable revised simplex in `f64` with sparse exact-LU
-    /// verification ([`abt_lp::solve_revised`]). Same exact results,
-    /// faster; the current default.
-    Revised,
-}
-
-/// How constant variable upper bounds enter the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundsMode {
-    /// Explicit `x ≤ u` rows (the seed encoding; dense-oracle).
-    Rows,
-    /// Implicit `[0, u]` bounds on the variables (no rows).
-    Implicit,
-}
-
-/// How the `x_{I,j} ≤ Y_I` variable upper bounds enter the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VubMode {
-    /// Explicit `x − Y ≤ 0` rows (the seed/PR-2 encoding; dense-oracle).
-    Rows,
-    /// Implicit VUB families handled by the pivoting rules (no rows).
-    Implicit,
-}
 
 /// Whether LP1 is sharded along the connected components of the
 /// job-window interval graph (see the module docs).
@@ -182,23 +151,21 @@ pub enum WarmMode {
     /// siblings' warm solves (a growing per-group snapshot pool keeps the
     /// hit rate high). Exact objectives are unchanged — warm answers are
     /// certified in rationals like cold ones. Only the
-    /// [`LpBackend::Revised`] backend warm-starts; other backends ignore
-    /// this mode.
+    /// [`SolverBackend::Revised`] backend warm-starts; under the dense
+    /// backends every sibling solves cold.
     Batch,
 }
 
 /// Model/solver configuration for [`solve_active_lp_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct LpOptions {
-    /// Solve backend. Default: [`LpBackend::Revised`].
-    pub backend: LpBackend,
+    /// First rung of the supervision ladder. Default:
+    /// [`SolverBackend::Revised`]; [`SolverBackend::DenseExact`] is the
+    /// differential oracle.
+    pub backend: SolverBackend,
     /// Coalesce identical-window slot runs into weighted super-slots.
     /// Default: `true`.
     pub coalesce: bool,
-    /// Constant-bound encoding. Default: [`BoundsMode::Implicit`].
-    pub bounds: BoundsMode,
-    /// Variable-upper-bound encoding. Default: [`VubMode::Implicit`].
-    pub vub: VubMode,
     /// Partial-pricing window of the revised backend (`0` = full Dantzig
     /// sweeps). Default: [`DEFAULT_PRICING_WINDOW`].
     pub pricing_window: usize,
@@ -228,10 +195,8 @@ pub struct LpOptions {
 impl Default for LpOptions {
     fn default() -> Self {
         LpOptions {
-            backend: LpBackend::Revised,
+            backend: SolverBackend::Revised,
             coalesce: true,
-            bounds: BoundsMode::Implicit,
-            vub: VubMode::Implicit,
             pricing_window: DEFAULT_PRICING_WINDOW,
             decompose: DecomposeMode::Auto,
             warm: WarmMode::Off,
@@ -243,8 +208,8 @@ impl Default for LpOptions {
 }
 
 impl LpOptions {
-    /// Sets the solve backend.
-    pub fn backend(mut self, backend: LpBackend) -> Self {
+    /// Sets the first rung of the supervision ladder.
+    pub fn backend(mut self, backend: SolverBackend) -> Self {
         self.backend = backend;
         self
     }
@@ -252,18 +217,6 @@ impl LpOptions {
     /// Sets super-slot coalescing.
     pub fn coalesce(mut self, coalesce: bool) -> Self {
         self.coalesce = coalesce;
-        self
-    }
-
-    /// Sets the constant-bound encoding.
-    pub fn bounds(mut self, bounds: BoundsMode) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
-    /// Sets the variable-upper-bound encoding.
-    pub fn vub(mut self, vub: VubMode) -> Self {
-        self.vub = vub;
         self
     }
 
@@ -304,50 +257,6 @@ impl LpOptions {
         self
     }
 
-    /// The seed configuration: per-slot model, explicit bound rows, pure
-    /// exact simplex, one monolithic LP.
-    pub fn seed_exact() -> Self {
-        LpOptions::default()
-            .backend(LpBackend::Exact)
-            .coalesce(false)
-            .bounds(BoundsMode::Rows)
-            .vub(VubMode::Rows)
-            .pricing_window(0)
-            .decompose(DecomposeMode::Off)
-    }
-
-    /// The PR-1 default: coalesced model, explicit bound rows, dense
-    /// float-first hybrid. Kept as the perf baseline the revised solver is
-    /// benchmarked against.
-    pub fn pr1_hybrid() -> Self {
-        LpOptions::default()
-            .backend(LpBackend::Hybrid)
-            .bounds(BoundsMode::Rows)
-            .vub(VubMode::Rows)
-            .pricing_window(0)
-            .decompose(DecomposeMode::Off)
-    }
-
-    /// The PR-2 default: coalesced model, implicit constant bounds, VUBs
-    /// still rows, full Dantzig pricing. Kept as the perf baseline the
-    /// VUB-aware solver is benchmarked against.
-    pub fn pr2_revised_bounds() -> Self {
-        LpOptions::default()
-            .backend(LpBackend::Revised)
-            .bounds(BoundsMode::Implicit)
-            .vub(VubMode::Rows)
-            .pricing_window(0)
-            .decompose(DecomposeMode::Off)
-    }
-
-    /// The PR-3 default: the VUB-aware revised simplex on one monolithic
-    /// LP (no component sharding). Kept as the perf baseline the
-    /// decomposition layer is benchmarked against, and as its differential
-    /// oracle.
-    pub fn pr3_monolithic() -> Self {
-        LpOptions::default().decompose(DecomposeMode::Off)
-    }
-
     /// The warm-batched configuration: the default sharded solve plus
     /// [`WarmMode::Batch`] sibling batching. Cold [`LpOptions::default`]
     /// is its differential oracle and perf baseline (E22).
@@ -358,12 +267,15 @@ impl LpOptions {
 
 /// Handles of the process-wide LP solve metrics, resolved once from the
 /// unified [`abt_core::obs::metrics`] registry (`lp.*` namespace). The
-/// legacy [`lp_telemetry`] facade reads these — the registry is the
-/// single source of truth, shared with the `abt trace` / `--metrics`
-/// exposition surfaces.
+/// per-solve counters and histograms (solves through demotions and
+/// latency) are recorded by the shared ladder ([`abt_lp::supervise`])
+/// under [`LP_METRICS`]; this crate records the rest. The
+/// [`lp_telemetry`] facade reads them all — the registry is the single
+/// source of truth, shared with the `abt trace` / `--metrics` exposition
+/// surfaces.
 struct LpMetrics {
-    /// Hybrid-style LP solves (`Hybrid`/`Revised` backends, plus the
-    /// feasibility oracle below).
+    /// Supervision-ladder solves (component sub-LPs plus the feasibility
+    /// oracle below).
     solves: &'static Counter,
     /// Solves that needed the exact fallback.
     fallbacks: &'static Counter,
@@ -427,7 +339,7 @@ struct LpMetrics {
     /// Solve requests bounced by admission control (the Hall-condition
     /// precheck) before touching the solver.
     admission_rejects: &'static Counter,
-    /// Wall-time latency of each supervised/hybrid solve, microseconds
+    /// Wall-time latency of each supervised solve, microseconds
     /// (log-bucket histogram; feeds the per-experiment p50/p90/p99
     /// bench fields and the `--max-p99-ratio` perf gate).
     solve_latency_us: &'static Histogram,
@@ -479,7 +391,7 @@ pub fn component_vars_window() -> abt_core::obs::metrics::HighWaterWindow {
 }
 
 /// Snapshot of the solve-latency histogram (microseconds per
-/// supervised/hybrid solve). Bucket counts are cumulative and monotone:
+/// supervised solve). Bucket counts are cumulative and monotone:
 /// diff two snapshots with [`HistogramSnapshot::delta`] to scope
 /// deterministic p50/p90/p99 extraction to a region, as the experiment
 /// harness does per row.
@@ -502,7 +414,7 @@ pub fn pivots_per_solve_snapshot() -> HistogramSnapshot {
 /// per-solve contributions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpTelemetry {
-    /// Hybrid-style LP solves (`Hybrid`/`Revised` backends and the
+    /// Supervision-ladder solves (LP1 components and the
     /// fractional-feasibility oracle). Under [`DecomposeMode::Auto`] each
     /// component sub-LP counts as one solve.
     pub solves: u64,
@@ -660,18 +572,6 @@ pub fn lp_telemetry() -> LpTelemetry {
     }
 }
 
-/// Records one failure-driven ladder demotion (see [`crate::supervise`],
-/// which additionally emits the structured `supervise.demotion` event
-/// with the failure and rung context).
-pub(crate) fn record_demotion() {
-    met().demotions.inc();
-}
-
-/// Records one budget trip (pivot / refactorization / wall-time).
-pub(crate) fn record_budget_trip() {
-    met().budget_trips.inc();
-}
-
 /// Records one quarantined component (the whole ladder failed) and emits
 /// the `supervise.quarantine` flight-recorder event.
 pub(crate) fn record_quarantine() {
@@ -718,73 +618,25 @@ pub(crate) fn record_warm_attempt(hit: bool, reference_pivots: u64, warm_pivots:
     }
 }
 
-pub(crate) fn record_solve(rep: &LpReport) {
-    let m = met();
-    m.solves.inc();
-    if rep.fallback {
-        m.fallbacks.inc();
-    }
-    m.pivots.add(rep.stats.pivots);
-    m.bound_flips.add(rep.stats.bound_flips);
-    m.refactorizations.add(rep.stats.refactorizations);
-    m.certify_nanos.add(rep.stats.certify_nanos);
-    m.certify_interval_nanos
-        .add(rep.stats.certify_interval_nanos);
-    m.certify_exact_nanos.add(rep.stats.certify_exact_nanos);
-    m.interval_accepts.add(rep.stats.interval_accepts);
-    m.interval_escalations.add(rep.stats.interval_escalations);
-    m.pivots_per_solve.record(rep.stats.pivots);
-}
+/// Metric prefix of the active half's ladder solves: the shared
+/// supervision ladder records `lp.solves`, `lp.pivots`, `lp.demotions`, …
+/// (see [`abt_lp::supervise`]), which [`lp_telemetry`] reads back.
+pub(crate) const LP_METRICS: &str = "lp.";
 
-/// Records one solve's wall-time latency into the `lp.solve_latency_us`
-/// histogram (called next to [`record_solve`] by the paths that own the
-/// solve's clock).
-pub(crate) fn record_solve_latency(elapsed: Duration) {
-    met().solve_latency_us.record(elapsed.as_micros() as u64);
-}
-
-/// The [`RevisedOptions`] implied by [`LpOptions`]: pricing window plus
-/// the solve budgets (`0` means unlimited throughout).
-pub(crate) fn revised_options(opts: &LpOptions) -> RevisedOptions {
-    RevisedOptions {
-        pricing: BoundedOptions {
+/// The ladder [`SolveOptions`] implied by [`LpOptions`]: first rung,
+/// pricing window, the solve budgets (`0` means unlimited throughout), and
+/// the certification tier.
+pub(crate) fn solve_options(opts: &LpOptions) -> SolveOptions<'static> {
+    SolveOptions::new()
+        .backend(opts.backend)
+        .pricing(BoundedOptions {
             pricing_window: opts.pricing_window,
             pivot_budget: opts.pivot_budget,
             time_budget: (opts.time_budget_ms > 0)
                 .then(|| Duration::from_millis(opts.time_budget_ms)),
             ..BoundedOptions::default()
-        },
-        certify: opts.certify,
-    }
-}
-
-pub(crate) fn run_backend(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpSolution<Rat> {
-    match opts.backend {
-        LpBackend::Exact => solve(lp),
-        LpBackend::Hybrid => {
-            let started = std::time::Instant::now();
-            let rep = solve_lp(
-                lp,
-                &abt_lp::LpOptions::new()
-                    .backend(SolverBackend::DenseHybrid)
-                    .certify(opts.certify),
-            )
-            .expect("the dense hybrid backend never fails");
-            record_solve(&rep);
-            record_solve_latency(started.elapsed());
-            rep.solution
-        }
-        LpBackend::Revised => match supervised_solve(lp, &revised_options(opts), &[]) {
-            Ok(sr) => sr.solution,
-            // Callers of this legacy entry point have no error channel,
-            // and a failure of the whole ladder (dense exact included) is
-            // not a state any of them can recover from.
-            Err(f) => {
-                record_quarantine();
-                panic!("revised solve quarantined with no error channel: {f}")
-            }
-        },
-    }
+        })
+        .certify(opts.certify)
 }
 
 /// An optimal fractional solution of `LP1`.
@@ -922,22 +774,18 @@ struct ComponentSolution {
 /// for bit.
 pub(crate) fn build_component_lp(
     inst: &Instance,
-    opts: &LpOptions,
     runs: &[SlotRun],
     comp: &Component,
 ) -> LpProblem<Rat> {
     let crange = &runs[comp.run_lo..comp.run_hi];
     let mut lp: LpProblem<Rat> = LpProblem::new();
-    // Y variables: total open mass per run, bounded by the run width — as
-    // an implicit variable bound or as an explicit row per `opts.bounds`.
+    // Y variables: total open mass per run, implicitly bounded by the run
+    // width.
     let y_vars: Vec<usize> = crange
         .iter()
         .map(|run| {
             let v = lp.add_var(Rat::ONE);
-            match opts.bounds {
-                BoundsMode::Implicit => lp.set_upper(v, Rat::from_int(run.width())),
-                BoundsMode::Rows => lp.bound_var(v, Rat::from_int(run.width())),
-            }
+            lp.set_upper(v, Rat::from_int(run.width()));
             v
         })
         .collect();
@@ -955,18 +803,10 @@ pub(crate) fn build_component_lp(
             }
         }
     }
-    // x_{I,j} ≤ Y_I: a variable-vs-variable cap — a VUB family membership
-    // under the default encoding, an explicit row under the oracle one.
+    // x_{I,j} ≤ Y_I: a variable-vs-variable cap — a VUB family membership.
     for row in &x_vars {
         for &(ri, v) in row {
-            match opts.vub {
-                VubMode::Implicit => lp.set_vub(v, y_vars[ri]),
-                VubMode::Rows => lp.add_constraint(
-                    vec![(v, Rat::ONE), (y_vars[ri], Rat::from_int(-1))],
-                    Cmp::Le,
-                    Rat::ZERO,
-                ),
-            }
+            lp.set_vub(v, y_vars[ri]);
         }
     }
     // Σ_j x_{I,j} ≤ g·Y_I.
@@ -1021,10 +861,8 @@ fn finish_component(
 /// a model-level verdict (LP1 infeasibility) that aborts the whole solve.
 type ComponentOutcome = std::result::Result<Result<ComponentSolution>, SolveFailure>;
 
-/// Builds and solves one component's LP1 block with the configured
-/// backend (the cold path). Revised-backend solves run through the
-/// supervision ladder; the other backends keep their legacy direct path
-/// (panics there are still isolated by the [`supervised_map`] fan-out).
+/// Builds and solves one component's LP1 block down the supervision
+/// ladder (the cold path).
 fn solve_component(
     inst: &Instance,
     opts: &LpOptions,
@@ -1032,14 +870,11 @@ fn solve_component(
     comp: &Component,
     sharded: bool,
 ) -> ComponentOutcome {
-    let lp = build_component_lp(inst, opts, runs, comp);
+    let lp = build_component_lp(inst, runs, comp);
     if sharded {
         met().max_component_vars.record_max(lp.num_vars() as u64);
     }
-    let sol = match opts.backend {
-        LpBackend::Revised => supervised_solve(&lp, &revised_options(opts), &[])?.solution,
-        _ => run_backend(&lp, opts),
-    };
+    let sol = supervised_solve(&lp, &solve_options(opts), LP_METRICS)?.solution;
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
 }
 
@@ -1104,7 +939,7 @@ fn solve_components_batched(
     runs: &[SlotRun],
     comps: &[Component],
 ) -> Vec<ComponentOutcome> {
-    let ropts = revised_options(opts);
+    let sopts = solve_options(opts);
     let mut groups: BTreeMap<ComponentSignature, Vec<usize>> = BTreeMap::new();
     for (ci, comp) in comps.iter().enumerate() {
         groups
@@ -1120,9 +955,9 @@ fn solve_components_batched(
     let rep_outs: Vec<std::result::Result<RepOutcome, SolveFailure>> =
         supervised_map(rep_ids, |ci| {
             let comp = &comps[ci];
-            let lp = build_component_lp(inst, opts, runs, comp);
+            let lp = build_component_lp(inst, runs, comp);
             met().max_component_vars.record_max(lp.num_vars() as u64);
-            let sr = supervised_solve(&lp, &ropts, &[])?;
+            let sr = supervised_solve(&lp, &sopts, LP_METRICS)?;
             let pivots = sr.stats.pivots;
             Ok((
                 finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
@@ -1170,10 +1005,10 @@ fn solve_components_batched(
         let wave_outs: Vec<std::result::Result<SiblingOutcome, SolveFailure>> =
             supervised_map(batch.clone(), |(ci, gi)| {
                 let comp = &comps[ci];
-                let lp = build_component_lp(inst, opts, runs, comp);
+                let lp = build_component_lp(inst, runs, comp);
                 met().max_component_vars.record_max(lp.num_vars() as u64);
                 let (pool, rep_pivots) = &pools_ref[gi];
-                let sr = supervised_solve(&lp, &ropts, pool)?;
+                let sr = supervised_solve(&lp, &sopts.snapshots(pool), LP_METRICS)?;
                 // An empty pool (e.g. the representative fell back to the
                 // dense exact solver) means the sibling was never *offered*
                 // a snapshot — don't count a phantom attempt.
@@ -1209,8 +1044,8 @@ fn solve_components_batched(
 }
 
 /// Builds and solves `LP1` for `inst` with the default options
-/// (coalesced super-slots, implicit bounds, bounded revised backend,
-/// component sharding).
+/// (coalesced super-slots, implicit bounds and VUBs, bounded revised
+/// backend, component sharding).
 pub fn solve_active_lp(inst: &Instance) -> Result<ActiveLp> {
     solve_active_lp_with(inst, &LpOptions::default())
 }
@@ -1259,9 +1094,9 @@ pub fn try_solve_active_lp_with(
         met().sharded_solves.inc();
         met().components.add(comps.len() as u64);
     }
-    // Warm batching applies to sharded solves on the revised backend; the
-    // other backends have no warm entry point and solve cold.
-    let batch = sharded && opts.warm == WarmMode::Batch && opts.backend == LpBackend::Revised;
+    // Warm batching applies to sharded solves (the dense backends produce
+    // no snapshots, so their siblings simply solve cold).
+    let batch = sharded && opts.warm == WarmMode::Batch;
     let solved: Vec<ComponentOutcome> = if batch {
         solve_components_batched(inst, opts, &runs, &comps)
     } else if sharded {
@@ -1370,7 +1205,7 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
         let terms: Vec<(usize, Rat)> = row.iter().map(|&(_, v)| (v, Rat::ONE)).collect();
         lp.add_constraint(terms, Cmp::Ge, Rat::from_int(inst.job(j).length));
     }
-    let sr = supervised_solve(&lp, &RevisedOptions::default(), &[])
+    let sr = supervised_solve(&lp, &SolveOptions::new(), LP_METRICS)
         .unwrap_or_else(|f| panic!("feasibility oracle quarantined: {f}"));
     matches!(sr.solution.status, LpStatus::Optimal)
 }
@@ -1379,52 +1214,38 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
 mod tests {
     use super::*;
 
-    /// A grid over backends × bound encodings × VUB encodings ×
-    /// decomposition × warm batching (plus both model shapes).
-    fn all_options() -> [LpOptions; 12] {
+    /// The per-slot, monolithic, dense-exact oracle: every bound and VUB
+    /// materialized as a row, every pivot in rationals.
+    fn oracle() -> LpOptions {
+        LpOptions::default()
+            .backend(SolverBackend::DenseExact)
+            .coalesce(false)
+            .decompose(DecomposeMode::Off)
+    }
+
+    /// The monolithic (unsharded) shipping solve.
+    fn monolithic() -> LpOptions {
+        LpOptions::default().decompose(DecomposeMode::Off)
+    }
+
+    /// A grid over backends × model shape × decomposition × pricing ×
+    /// warm batching.
+    fn all_options() -> [LpOptions; 10] {
         [
-            LpOptions::seed_exact(),
-            LpOptions {
-                backend: LpBackend::Exact,
-                coalesce: true,
-                bounds: BoundsMode::Implicit,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                backend: LpBackend::Hybrid,
-                coalesce: false,
-                bounds: BoundsMode::Implicit,
-                vub: VubMode::Rows,
-                ..LpOptions::default()
-            },
-            LpOptions::pr1_hybrid(),
-            LpOptions {
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                vub: VubMode::Rows,
-                ..LpOptions::default()
-            },
-            LpOptions::pr2_revised_bounds(),
-            LpOptions::pr3_monolithic(),
-            LpOptions {
-                // VUB families over explicit bound rows.
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                vub: VubMode::Implicit,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                // The default model under full Dantzig pricing.
-                pricing_window: 0,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                // Sharding on the per-slot (uncoalesced) model.
-                coalesce: false,
-                ..LpOptions::default()
-            },
+            oracle(),
+            LpOptions::default().backend(SolverBackend::DenseExact),
+            LpOptions::default()
+                .backend(SolverBackend::DenseHybrid)
+                .coalesce(false),
+            LpOptions::default()
+                .backend(SolverBackend::DenseHybrid)
+                .decompose(DecomposeMode::Off),
+            monolithic(),
+            // The default model under full Dantzig pricing.
+            LpOptions::default().pricing_window(0),
+            monolithic().pricing_window(0),
+            // Sharding on the per-slot (uncoalesced) model.
+            LpOptions::default().coalesce(false),
             LpOptions::warm_batched(),
             LpOptions::default(),
         ]
@@ -1479,7 +1300,7 @@ mod tests {
 
     #[test]
     fn all_configurations_agree_on_objective() {
-        // The tentpole invariant: coalescing, the bound encoding, and the
+        // The tentpole invariant: coalescing, sharding, pricing, and the
         // backend change the model size and the pivot arithmetic, never
         // the exact optimum.
         let cases = [
@@ -1490,9 +1311,7 @@ mod tests {
             Instance::from_triples([(0, 20, 3), (5, 25, 4), (10, 30, 2)], 2).unwrap(),
         ];
         for inst in &cases {
-            let reference = solve_active_lp_with(inst, &LpOptions::seed_exact())
-                .unwrap()
-                .objective;
+            let reference = solve_active_lp_with(inst, &oracle()).unwrap().objective;
             for opts in all_options() {
                 let lp = solve_active_lp_with(inst, &opts).unwrap();
                 assert_eq!(lp.objective, reference, "{opts:?} on {inst:?}");
@@ -1520,9 +1339,7 @@ mod tests {
             Instance::from_triples([(0, 8, 5), (0, 8, 3), (0, 8, 4), (0, 8, 2)], 2).unwrap();
         assert_eq!(slot_runs(&single_run, true).len(), 1);
         for inst in [&zero_slack, &single_run] {
-            let reference = solve_active_lp_with(inst, &LpOptions::seed_exact())
-                .unwrap()
-                .objective;
+            let reference = solve_active_lp_with(inst, &oracle()).unwrap().objective;
             for opts in all_options() {
                 let lp = solve_active_lp_with(inst, &opts).unwrap();
                 assert_eq!(lp.objective, reference, "{opts:?} on {inst:?}");
@@ -1593,7 +1410,7 @@ mod tests {
     /// objectives and a valid disaggregated `y` on both sides.
     fn assert_auto_matches_off(inst: &Instance) -> (Rat, Rat) {
         let auto = solve_active_lp_with(inst, &LpOptions::default()).unwrap();
-        let off = solve_active_lp_with(inst, &LpOptions::pr3_monolithic()).unwrap();
+        let off = solve_active_lp_with(inst, &monolithic()).unwrap();
         assert_eq!(auto.objective, off.objective);
         for lp in [&auto, &off] {
             let mut sum = Rat::ZERO;
@@ -1609,7 +1426,7 @@ mod tests {
     #[test]
     fn empty_instance_solves_to_zero_under_both_decompose_modes() {
         let inst = Instance::new(vec![], 3).unwrap();
-        for opts in [LpOptions::default(), LpOptions::pr3_monolithic()] {
+        for opts in [LpOptions::default(), monolithic()] {
             let lp = solve_active_lp_with(&inst, &opts).unwrap();
             assert_eq!(lp.objective, Rat::ZERO);
             assert!(lp.y.is_empty());

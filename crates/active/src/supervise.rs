@@ -1,152 +1,19 @@
-//! Fault-tolerant supervision of LP1 solves: the **degradation ladder**
-//! and the typed partial-result error of the sharded solve paths.
+//! The typed partial-result error of the sharded solve paths.
 //!
-//! # The ladder
-//!
-//! Every revised-backend solve in this crate runs through
-//! `supervised_solve`, which retries one component's LP down four rungs
-//! until one produces a certified answer. Every rung is one
-//! [`abt_lp::solve_lp`] call under a different [`abt_lp::LpOptions`]
-//! policy:
-//!
-//! 1. **Warm** (`snapshots(pool).warm_only(true)`) — only when the caller
-//!    offers snapshots. A pool miss (`ShapeDrift`) is a routine cache
-//!    outcome and drops through silently; any other failure demotes.
-//! 2. **Cold revised** (the default `Revised` backend) — the bounded
-//!    revised simplex with budgets armed. A float-level `Infeasible` claim
-//!    drops through silently (confirming it is the exact tier's job,
-//!    exactly like the legacy dense fallback); panics, budget trips, and
-//!    numerical stalls demote.
-//! 3. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
-//!    search with exact certification and its own internal exact fallback.
-//! 4. **Dense exact** (`SolverBackend::DenseExact`) — every pivot in
-//!    rationals; the rung of last resort.
-//!
-//! Each *failure-driven* transition records a demotion in the process-wide
-//! telemetry ([`crate::lp_model::lp_telemetry`]); budget failures also
-//! record a budget trip. Because every rung ends in a *sound*
-//! certification — the revised rungs through the caller's
-//! [`abt_lp::CertifyMode`] tier policy (an interval-tier accept is a
-//! proof, and an inconclusive interval sweep escalates or demotes, never
-//! accepts), the dense rungs exactly by construction — a solve that
-//! succeeds on **any** rung returns the same objective bit for bit:
-//! demotion trades speed, never answers. Only when all four rungs fail is
-//! the component **quarantined**: the caller receives a typed
+//! Every component LP of this crate is solved through the shared
+//! supervision ladder, [`abt_lp::supervised_solve`] (warm → cold revised
+//! → dense hybrid → dense exact, each rung panic-isolated), which records
+//! its solves, demotions, and budget trips under the `lp.*` metrics that
+//! [`crate::lp_model::lp_telemetry`] reads back. Because every rung ends
+//! in a sound certification, a solve that succeeds on any rung returns
+//! the same objective bit for bit. Only when every rung fails is the
+//! component **quarantined**: the caller receives a typed
 //! [`SolveFailure`] and degrades to a [`PartialSolve`] carrying the exact
 //! objectives of every healthy component.
-//!
-//! # Fault injection
-//!
-//! Under the `fault-injection` cargo feature the ladder participates in
-//! the [`abt_core::faultinject`] registry: the `fail_nth_solve` failpoint
-//! fires at supervisor entry (modelling an unclassifiable crash of the
-//! whole attempt — straight to quarantine), while the deeper
-//! `panic_in_pivot` / `panic_in_ftran` / `slow_certify` sites fire inside
-//! the revised rungs and exercise the demotion path.
 
-use crate::lp_model::{record_budget_trip, record_demotion, record_solve, record_solve_latency};
-use abt_core::faultinject;
-use abt_core::{obs, panic_message, Error, SolveFailure};
-use abt_lp::{
-    solve_lp, BasisSnapshot, LpOptions, LpProblem, LpReport, Rat, RevisedOptions, SolverBackend,
-};
+use abt_core::{Error, SolveFailure};
+use abt_lp::Rat;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Solves `lp` down the degradation ladder (see the module docs),
-/// recording demotions and budget trips in the process-wide telemetry.
-/// Returns `Err` only when every rung failed — the caller quarantines the
-/// work item; the error is the root-cause failure (the first one that
-/// forced a demotion, or the final rung's panic when nothing demoted).
-pub(crate) fn supervised_solve(
-    lp: &LpProblem<Rat>,
-    ropts: &RevisedOptions,
-    snapshots: &[BasisSnapshot],
-) -> Result<LpReport, SolveFailure> {
-    // `fail_nth_solve` models an unclassifiable crash of the whole
-    // supervised attempt: no rung runs, the item goes straight to
-    // quarantine.
-    if let Err(payload) = catch_unwind(|| faultinject::hit("fail_nth_solve")) {
-        return Err(SolveFailure::Panicked(panic_message(payload.as_ref())));
-    }
-    let mut span = abt_core::obs_span!("solve.component", vars = lp.num_vars());
-    let started = std::time::Instant::now();
-    let finish = |rep: LpReport, rung: &'static str, span: &mut obs::Span| {
-        record_solve(&rep);
-        record_solve_latency(started.elapsed());
-        span.field("rung", rung);
-        rep
-    };
-    let base = LpOptions::new()
-        .pricing(ropts.pricing)
-        .certify(ropts.certify);
-    let mut first_failure: Option<SolveFailure> = None;
-    let mut demote = |f: SolveFailure, from: &'static str, to: &'static str| {
-        record_demotion();
-        if matches!(f, SolveFailure::BudgetExceeded(_)) {
-            record_budget_trip();
-        }
-        obs::trace::event("supervise.demotion", || {
-            vec![
-                ("failure", f.to_string()),
-                ("from", from.to_string()),
-                ("to", to.to_string()),
-            ]
-        });
-        first_failure.get_or_insert(f);
-    };
-    // Rung 1 — warm, only when the caller offers candidates.
-    if !snapshots.is_empty() {
-        let warm = base.snapshots(snapshots).warm_only(true);
-        match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &warm))) {
-            Ok(Ok(rep)) => return Ok(finish(rep, "warm", &mut span)),
-            // A pool miss is a routine cache outcome, not a fault.
-            Ok(Err(SolveFailure::ShapeDrift)) => {}
-            Ok(Err(f)) => demote(f, "warm", "cold revised"),
-            Err(p) => demote(
-                SolveFailure::Panicked(panic_message(p.as_ref())),
-                "warm",
-                "cold revised",
-            ),
-        }
-    }
-    // Rung 2 — cold revised with budgets armed.
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &base))) {
-        Ok(Ok(rep)) => return Ok(finish(rep, "cold revised", &mut span)),
-        // A float-level infeasibility claim needs exact confirmation — the
-        // next rung's job, same as the legacy dense fallback. Not a fault.
-        Ok(Err(SolveFailure::Infeasible)) => {}
-        Ok(Err(f)) => demote(f, "cold revised", "dense hybrid"),
-        Err(p) => demote(
-            SolveFailure::Panicked(panic_message(p.as_ref())),
-            "cold revised",
-            "dense hybrid",
-        ),
-    }
-    // Rung 3 — dense hybrid (its own internal exact fallback included;
-    // the backend never returns `Err`).
-    let hybrid = base.backend(SolverBackend::DenseHybrid);
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &hybrid))) {
-        Ok(Ok(rep)) => return Ok(finish(rep, "dense hybrid", &mut span)),
-        Ok(Err(f)) => demote(f, "dense hybrid", "dense exact"),
-        Err(p) => demote(
-            SolveFailure::Panicked(panic_message(p.as_ref())),
-            "dense hybrid",
-            "dense exact",
-        ),
-    }
-    // Rung 4 — dense exact, the rung of last resort. Its iteration-cap
-    // panic is the one failure mode left, caught like any other.
-    let exact = base.backend(SolverBackend::DenseExact);
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &exact))) {
-        Ok(Ok(rep)) => Ok(finish(rep, "dense exact", &mut span)),
-        Ok(Err(f)) => Err(first_failure.unwrap_or(f)),
-        Err(p) => {
-            let last = SolveFailure::Panicked(panic_message(p.as_ref()));
-            Err(first_failure.unwrap_or(last))
-        }
-    }
-}
 
 /// One component the supervisor gave up on: every ladder rung failed.
 #[derive(Debug, Clone)]

@@ -1,13 +1,12 @@
 //! Differential property tests for the LP pipeline: on feasible random
-//! active-time instances, every backend × bound-encoding × VUB-encoding ×
-//! model-shape configuration must reproduce the seed configuration
-//! (per-slot model, explicit bound/VUB rows, pure exact-rational simplex)
-//! bit for bit on status and objective, and the disaggregated per-slot `y`
-//! must stay a valid fractional opening.
+//! active-time instances, every backend × coalesce × pricing × certify ×
+//! decompose configuration must reproduce the oracle configuration
+//! (per-slot model, monolithic, dense exact-rational simplex over the
+//! row encoding) bit for bit on status and objective, and the
+//! disaggregated per-slot `y` must stay a valid fractional opening.
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, BoundsMode, CertifyMode, DecomposeMode, LpBackend,
-    LpOptions, VubMode,
+    fractional_feasible, solve_active_lp_with, CertifyMode, DecomposeMode, LpOptions, SolverBackend,
 };
 use abt_lp::Rat;
 use abt_workloads::{
@@ -16,58 +15,61 @@ use abt_workloads::{
 };
 use proptest::prelude::*;
 
-/// The differential grid: the seed oracle plus every interesting
-/// backend × bounds × vub × coalesce combination.
+/// The differential oracle: per-slot, monolithic, dense exact.
+fn oracle() -> LpOptions {
+    LpOptions::default()
+        .backend(SolverBackend::DenseExact)
+        .coalesce(false)
+        .decompose(DecomposeMode::Off)
+}
+
+/// The differential grid: backend × coalesce × decompose, and for the
+/// revised backend additionally pricing (the partial-pricing window vs
+/// full Dantzig sweeps) × every certification tier policy. The tier only
+/// changes *how* dual feasibility is proven — an interval-only refusal
+/// demotes down the supervision ladder — so the objective is
+/// bit-identical throughout.
 fn variants() -> Vec<LpOptions> {
     let mut v = Vec::new();
-    for backend in [LpBackend::Exact, LpBackend::Hybrid, LpBackend::Revised] {
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                v.push(LpOptions {
-                    backend,
-                    coalesce: true,
-                    bounds,
-                    vub,
-                    ..LpOptions::default()
-                });
+    for backend in [
+        SolverBackend::DenseExact,
+        SolverBackend::DenseHybrid,
+        SolverBackend::Revised,
+    ] {
+        for coalesce in [false, true] {
+            for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
+                let is_oracle = backend == SolverBackend::DenseExact
+                    && !coalesce
+                    && decompose == DecomposeMode::Off;
+                if is_oracle {
+                    continue;
+                }
+                let base = LpOptions::default()
+                    .backend(backend)
+                    .coalesce(coalesce)
+                    .decompose(decompose);
+                if backend != SolverBackend::Revised {
+                    v.push(base);
+                    continue;
+                }
+                for pricing_window in [0, LpOptions::default().pricing_window] {
+                    for certify in [
+                        CertifyMode::Exact,
+                        CertifyMode::Interval,
+                        CertifyMode::IntervalThenExact,
+                    ] {
+                        v.push(base.pricing_window(pricing_window).certify(certify));
+                    }
+                }
             }
         }
-    }
-    v.push(LpOptions {
-        backend: LpBackend::Revised,
-        coalesce: false,
-        ..LpOptions::default()
-    });
-    v.push(LpOptions {
-        backend: LpBackend::Hybrid,
-        coalesce: false,
-        bounds: BoundsMode::Implicit,
-        vub: VubMode::Rows,
-        ..LpOptions::default()
-    });
-    // The default model priced with full Dantzig sweeps instead of the
-    // partial-pricing window.
-    v.push(LpOptions {
-        pricing_window: 0,
-        ..LpOptions::default()
-    });
-    // Every certification tier policy of the revised backend. The tier
-    // only changes *how* dual feasibility is proven — an interval-only
-    // refusal demotes down the supervision ladder — so the objective is
-    // bit-identical throughout.
-    for certify in [
-        CertifyMode::Exact,
-        CertifyMode::Interval,
-        CertifyMode::IntervalThenExact,
-    ] {
-        v.push(LpOptions::default().certify(certify));
     }
     v
 }
 
 fn assert_all_variants_match(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
-    let seed_lp = solve_active_lp_with(inst, &LpOptions::seed_exact())
-        .expect("instances are feasible by construction");
+    let seed_lp =
+        solve_active_lp_with(inst, &oracle()).expect("instances are feasible by construction");
     for opts in variants() {
         let lp = solve_active_lp_with(inst, &opts).unwrap();
         prop_assert_eq!(lp.objective, seed_lp.objective, "{:?}", opts);
@@ -165,9 +167,9 @@ proptest! {
         // (degenerate corners included — a single cluster collapses Auto to
         // the monolithic path, and one job per cluster makes every
         // component a singleton). `DecomposeMode::Auto` must reproduce the
-        // monolithic `Off` objective bit for bit under every
-        // BoundsMode × VubMode encoding, and the stitched per-slot `y`
-        // must stay a feasible fractional opening.
+        // monolithic `Off` objective bit for bit under every ladder
+        // backend, and the stitched per-slot `y` must stay a feasible
+        // fractional opening.
         let cfg = ManyComponentsConfig {
             components,
             jobs_per_component: jobs_per,
@@ -181,35 +183,35 @@ proptest! {
         if inst.jobs().is_empty() {
             return Ok(());
         }
-        let oracle = solve_active_lp_with(&inst, &LpOptions::pr3_monolithic())
+        let oracle = solve_active_lp_with(&inst, &LpOptions::default().decompose(DecomposeMode::Off))
             .expect("instances are feasible by construction");
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
-                    let opts = LpOptions { bounds, vub, decompose, ..LpOptions::default() };
-                    let lp = solve_active_lp_with(&inst, &opts).unwrap();
-                    prop_assert_eq!(lp.objective, oracle.objective, "{:?}", opts);
-                    let mut sum = Rat::ZERO;
-                    for y in &lp.y {
-                        prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
-                        sum = sum.add(y);
-                    }
-                    prop_assert_eq!(
-                        sum,
-                        oracle.objective,
-                        "{:?}: stitched Σy must equal the objective",
-                        opts
-                    );
-                    // Under the default encodings, certify the stitched y
-                    // actually supports a fractional schedule (LP2).
-                    if bounds == BoundsMode::Implicit && vub == VubMode::Implicit {
-                        prop_assert!(
-                            fractional_feasible(&inst, &lp.slots, &lp.y),
-                            "{:?}: stitched y must be LP2-feasible",
-                            opts
-                        );
-                    }
+        for backend in [
+            SolverBackend::DenseExact,
+            SolverBackend::DenseHybrid,
+            SolverBackend::Revised,
+        ] {
+            for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
+                let opts = LpOptions::default().backend(backend).decompose(decompose);
+                let lp = solve_active_lp_with(&inst, &opts).unwrap();
+                prop_assert_eq!(lp.objective, oracle.objective, "{:?}", opts);
+                let mut sum = Rat::ZERO;
+                for y in &lp.y {
+                    prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
+                    sum = sum.add(y);
                 }
+                prop_assert_eq!(
+                    sum,
+                    oracle.objective,
+                    "{:?}: stitched Σy must equal the objective",
+                    opts
+                );
+                // Certify the stitched y actually supports a fractional
+                // schedule (LP2).
+                prop_assert!(
+                    fractional_feasible(&inst, &lp.slots, &lp.y),
+                    "{:?}: stitched y must be LP2-feasible",
+                    opts
+                );
             }
         }
     }

@@ -1,53 +1,50 @@
 //! Differential property tests for the warm-start subsystem (PR 5):
 //! batched sibling solves (`WarmMode::Batch`) and incremental re-solves
 //! (`IncrementalSolver`) must reproduce the cold `DecomposeMode::Auto`
-//! objective **bit for bit** across `BoundsMode × VubMode`, and the
+//! objective **bit for bit** under every ladder backend, and the
 //! stitched per-slot `y` must remain a feasible fractional opening
 //! (certified against LP2 by the `fractional_feasible` oracle).
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, BoundsMode, IncrementalSolver, LpOptions, VubMode,
+    fractional_feasible, solve_active_lp_with, IncrementalSolver, LpOptions, SolverBackend,
     WarmMode,
 };
 use abt_lp::Rat;
 use abt_workloads::{many_components, online_arrivals, ManyComponentsConfig, OnlineArrivalsConfig};
 use proptest::prelude::*;
 
-/// Asserts `WarmMode::Batch` ≡ cold `Auto` on `inst` under every
-/// `BoundsMode × VubMode` encoding, plus LP2 feasibility of the stitched
-/// `y` under the default encodings.
+/// The ladder backends, indexed for proptest draws.
+const BACKENDS: [SolverBackend; 3] = [
+    SolverBackend::DenseExact,
+    SolverBackend::DenseHybrid,
+    SolverBackend::Revised,
+];
+
+/// Asserts `WarmMode::Batch` ≡ cold `Auto` on `inst` under every ladder
+/// backend, plus LP2 feasibility of the stitched `y`.
 fn assert_batch_matches_cold(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
     let cold = solve_active_lp_with(inst, &LpOptions::default())
         .expect("instances are feasible by construction");
-    for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-        for vub in [VubMode::Rows, VubMode::Implicit] {
-            let opts = LpOptions {
-                bounds,
-                vub,
-                warm: WarmMode::Batch,
-                ..LpOptions::default()
-            };
-            let warm = solve_active_lp_with(inst, &opts).unwrap();
-            prop_assert_eq!(warm.objective, cold.objective, "{:?}", opts);
-            let mut sum = Rat::ZERO;
-            for y in &warm.y {
-                prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
-                sum = sum.add(y);
-            }
-            prop_assert_eq!(
-                sum,
-                cold.objective,
-                "{:?}: Σy must equal the objective",
-                opts
-            );
-            if bounds == BoundsMode::Implicit && vub == VubMode::Implicit {
-                prop_assert!(
-                    fractional_feasible(inst, &warm.slots, &warm.y),
-                    "{:?}: warm-batched y must be LP2-feasible",
-                    opts
-                );
-            }
+    for backend in BACKENDS {
+        let opts = LpOptions::default().backend(backend).warm(WarmMode::Batch);
+        let warm = solve_active_lp_with(inst, &opts).unwrap();
+        prop_assert_eq!(warm.objective, cold.objective, "{:?}", opts);
+        let mut sum = Rat::ZERO;
+        for y in &warm.y {
+            prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
+            sum = sum.add(y);
         }
+        prop_assert_eq!(
+            sum,
+            cold.objective,
+            "{:?}: Σy must equal the objective",
+            opts
+        );
+        prop_assert!(
+            fractional_feasible(inst, &warm.slots, &warm.y),
+            "{:?}: warm-batched y must be LP2-feasible",
+            opts
+        );
     }
     Ok(())
 }
@@ -113,17 +110,12 @@ proptest! {
         clusters in 1usize..6,
         jobs_per in 1usize..4,
         g in 2usize..4,
-        bounds_implicit in 0usize..2,
-        vub_implicit in 0usize..2,
+        backend in 0usize..3,
     ) {
         // Replay an arrival stream through the incremental driver and
         // check *every* prefix against a from-scratch cold solve: exact
         // objective equality plus LP2 feasibility of the stitched y.
-        let opts = LpOptions {
-            bounds: if bounds_implicit == 1 { BoundsMode::Implicit } else { BoundsMode::Rows },
-            vub: if vub_implicit == 1 { VubMode::Implicit } else { VubMode::Rows },
-            ..LpOptions::default()
-        };
+        let opts = LpOptions::default().backend(BACKENDS[backend]);
         let cfg = OnlineArrivalsConfig {
             clusters,
             jobs_per_cluster: jobs_per,

@@ -1,18 +1,12 @@
-//! B4 — `lp_simplex`: the LP1 hot path across solver generations. Compares
-//! the seed configuration (per-slot LP1, explicit bound rows, pure
-//! exact-rational simplex), the PR-1 default (coalesced super-slots, dense
-//! `f64`-first hybrid), the PR-2 default (`revised_bounds`: implicit
-//! constant bounds, `x ≤ Y` caps as rows), the PR-3 default
-//! (`vub_implicit`: VUB-aware revised simplex, no cap rows, monolithic),
-//! and the current default (`vub_decomposed`: the same solver behind
-//! interval-graph component sharding) on `random_active_feasible`
-//! instances.
-//!
-//! The size dimension covers n ∈ {40, 200, 1000}; configurations whose
-//! dense passes are no longer practical at a size are skipped there (the
-//! seed exact solver past n = 40, the dense hybrids past n = 200).
+//! B4 — `lp_simplex`: the LP1 hot path. Times the shipping configuration
+//! (`vub_decomposed`: coalesced super-slots, implicit bounds and VUB
+//! families, the bounded revised simplex behind interval-graph component
+//! sharding) on `random_active_feasible` instances at n ∈ {40, 200, 1000},
+//! plus the differential oracle (`dense_exact`: per-slot LP1, monolithic,
+//! dense exact-rational simplex over the row encoding) at n = 40, where it
+//! is still practical.
 
-use abt_active::{solve_active_lp_with, BoundsMode, LpBackend, LpOptions};
+use abt_active::{solve_active_lp_with, DecomposeMode, LpOptions, SolverBackend};
 use abt_workloads::{random_active_feasible, RandomConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,35 +14,13 @@ use std::hint::black_box;
 fn bench_lp_simplex(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_simplex");
     group.sample_size(10);
-    // (name, options, max n it is still reasonable to run at). Every
-    // generation runs monolithically (DecomposeMode::Off) so the columns
-    // compare solver generations; `vub_decomposed` is the shipping
-    // default, which additionally shards by interval-graph components.
-    let variants: [(&str, LpOptions, usize); 7] = [
-        ("seed_exact_perslot", LpOptions::seed_exact(), 40),
-        (
-            "exact_coalesced",
-            LpOptions {
-                backend: LpBackend::Exact,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                ..LpOptions::pr3_monolithic()
-            },
-            40,
-        ),
-        ("hybrid_coalesced", LpOptions::pr1_hybrid(), 200),
-        (
-            "revised_rows",
-            LpOptions {
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                ..LpOptions::pr2_revised_bounds()
-            },
-            200,
-        ),
-        ("revised_bounds", LpOptions::pr2_revised_bounds(), 1000),
-        ("vub_implicit", LpOptions::pr3_monolithic(), 1000),
+    // (name, options, max n it is still reasonable to run at).
+    let oracle = LpOptions::default()
+        .backend(SolverBackend::DenseExact)
+        .coalesce(false)
+        .decompose(DecomposeMode::Off);
+    let variants: [(&str, LpOptions, usize); 2] = [
+        ("dense_exact", oracle, 40),
         ("vub_decomposed", LpOptions::default(), 1000),
     ];
     for &(n, g, horizon) in &[(40usize, 4usize, 100i64), (200, 4, 400), (1000, 4, 2000)] {

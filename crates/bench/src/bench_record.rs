@@ -10,26 +10,25 @@
 //! | key          | type   | meaning                                      |
 //! |--------------|--------|----------------------------------------------|
 //! | `schema`     | string | must equal [`SCHEMA`] (`"abt-bench/lp-v2"`); any other value is rejected on parse |
-//! | `lp_simplex` | object | the headline baseline-vs-candidate measurement ([`LpSimplexRecord`]) |
+//! | `lp_simplex` | object | the headline measurement of the shipping configuration ([`LpSimplexRecord`]) |
 //! | `experiments`| array  | one object per experiment that ran ([`ExperimentRecord`]) |
 //!
 //! # `lp_simplex` — the headline record
 //!
-//! `solve_active_lp` timed on one fixed `random_active_feasible` instance
-//! under a named *baseline* configuration and the named current-default
-//! *candidate*. Fields:
+//! `solve_active_lp` on one fixed `random_active_feasible` instance under
+//! the named shipping *candidate* configuration. Fields:
 //!
 //! | field          | type   | optional? | gate semantics                  |
 //! |----------------|--------|-----------|---------------------------------|
 //! | `bench`, `family` | string | written, ignored on parse | human context only |
 //! | `n`, `g`, `horizon`, `seed` | number | required | instance identity; not gated directly |
 //! | `objective`    | string | required  | exact rational optimum (e.g. `"797/4"`); **any change fails the gate** — the exact optimum must never move |
-//! | `baseline`     | string | optional, default `"unnamed"` | gated: committed and fresh must name the *same* baseline, or the comparison is cross-generation and fails |
-//! | `baseline_ms`  | number | required  | wall time; informational        |
-//! | `candidate`    | string | optional, default `"unnamed"` | gated like `baseline` |
+//! | `candidate`    | string | optional, default `"unnamed"` | gated: committed and fresh must name the *same* configuration, or the comparison is cross-configuration and fails |
 //! | `candidate_ms` | number | required  | wall time; informational        |
-//! | `speedup`      | number | required  | `baseline_ms / candidate_ms`; fails the gate when it regresses below `--min-speedup-ratio` (default 0.7) × the committed value |
+//! | `pivots`       | number | optional (0) | basis-changing pivots of one candidate solve — deterministic per instance; the gate fails when the fresh count exceeds `--max-effort-ratio` (default 1.3) × committed, skipped when the committed value is 0 (an older record) |
+//! | `refactorizations` | number | optional (0) | LU refactorizations of one candidate solve; gated like `pivots` |
 //! | `fallback`     | bool   | required  | `true` fails the gate: the candidate must never need the exact fallback on the headline family |
+//! | `baseline`, `baseline_ms`, `speedup` | string / number | legacy, ignored on parse | the retired baseline-vs-candidate ratio of older records; never written, never gated |
 //!
 //! # `experiments[]` — per-experiment rows
 //!
@@ -102,16 +101,14 @@ pub struct LpSimplexRecord {
     pub seed: u64,
     /// Exact LP optimum, rendered as a rational string (e.g. `"797/4"`).
     pub objective: String,
-    /// Name of the baseline configuration (e.g. `"revised_bounds"`).
-    pub baseline: String,
-    /// Baseline wall time, ms.
-    pub baseline_ms: f64,
     /// Name of the candidate configuration (e.g. `"vub_implicit"`).
     pub candidate: String,
     /// Candidate wall time, ms.
     pub candidate_ms: f64,
-    /// `baseline_ms / candidate_ms`.
-    pub speedup: f64,
+    /// Basis-changing pivots of one candidate solve (0 in older records).
+    pub pivots: u64,
+    /// LU refactorizations of one candidate solve (0 in older records).
+    pub refactorizations: u64,
     /// Whether the candidate solve needed the exact fallback.
     pub fallback: bool,
 }
@@ -256,21 +253,20 @@ impl BenchRecord {
                 "\"family\": \"random_active_feasible\", ",
                 "\"n\": {}, \"g\": {}, \"horizon\": {}, \"seed\": {}, ",
                 "\"objective\": \"{}\", ",
-                "\"baseline\": \"{}\", \"baseline_ms\": {:.3}, ",
                 "\"candidate\": \"{}\", \"candidate_ms\": {:.3}, ",
-                "\"speedup\": {:.2}, \"fallback\": {}}},\n"
+                "\"pivots\": {}, \"refactorizations\": {}, ",
+                "\"fallback\": {}}},\n"
             ),
             s.n,
             s.g,
             s.horizon,
             s.seed,
             esc(&s.objective),
-            esc(&s.baseline),
-            s.baseline_ms,
             esc(&s.candidate),
             s.candidate_ms,
-            s.speedup,
-            s.fallback
+            s.pivots,
+            s.refactorizations,
+            s.fallback,
         ));
         out.push_str("  \"experiments\": [\n");
         for (i, e) in self.experiments.iter().enumerate() {
@@ -383,11 +379,10 @@ impl BenchRecord {
             horizon: get(lp, "horizon")?.as_f64("horizon")? as i64,
             seed: get(lp, "seed")?.as_f64("seed")? as u64,
             objective: get(lp, "objective")?.as_str("objective")?.to_string(),
-            baseline: opt_str(lp, "baseline", "unnamed"),
-            baseline_ms: get(lp, "baseline_ms")?.as_f64("baseline_ms")?,
             candidate: opt_str(lp, "candidate", "unnamed"),
             candidate_ms: get(lp, "candidate_ms")?.as_f64("candidate_ms")?,
-            speedup: get(lp, "speedup")?.as_f64("speedup")?,
+            pivots: opt_num(lp, "pivots") as u64,
+            refactorizations: opt_num(lp, "refactorizations") as u64,
             fallback: get(lp, "fallback")?.as_bool("fallback")?,
         };
         let mut experiments = Vec::new();
@@ -666,11 +661,10 @@ mod tests {
                 horizon: 400,
                 seed: 7,
                 objective: "797/4".into(),
-                baseline: "revised_bounds".into(),
-                baseline_ms: 288.505,
                 candidate: "vub_implicit".into(),
                 candidate_ms: 46.811,
-                speedup: 6.16,
+                pivots: 5123,
+                refactorizations: 87,
                 fallback: false,
             },
             experiments: vec![
@@ -767,8 +761,9 @@ mod tests {
         assert_eq!(back.schema, rec.schema);
         assert_eq!(back.lp_simplex.objective, rec.lp_simplex.objective);
         assert_eq!(back.lp_simplex.n, 200);
-        assert_eq!(back.lp_simplex.baseline, "revised_bounds");
         assert_eq!(back.lp_simplex.candidate, "vub_implicit");
+        assert_eq!(back.lp_simplex.pivots, 5123);
+        assert_eq!(back.lp_simplex.refactorizations, 87);
         assert!(!back.lp_simplex.fallback);
         assert_eq!(back.experiments.len(), 2);
         assert_eq!(back.experiments[1].lp_solves, 16);
@@ -808,9 +803,9 @@ mod tests {
 
     #[test]
     fn parses_records_without_telemetry_fields() {
-        // An earlier lp-v2 document (no counter fields, no
-        // baseline/candidate names, no sharding fields) still parses, with
-        // defaults.
+        // An earlier lp-v2 document (no counter fields, no candidate
+        // name, no effort counts, a legacy baseline/speedup pair, no
+        // sharding fields) still parses, with defaults.
         let txt = r#"{ "schema": "abt-bench/lp-v2",
             "lp_simplex": {"n": 1, "g": 1, "horizon": 2, "seed": 0,
                 "objective": "0", "baseline_ms": 1.0, "candidate_ms": 0.5,
@@ -820,7 +815,9 @@ mod tests {
                  "fallback_rate": 0.0}
             ] }"#;
         let rec = BenchRecord::from_json(txt).unwrap();
-        assert_eq!(rec.lp_simplex.baseline, "unnamed");
+        assert_eq!(rec.lp_simplex.candidate, "unnamed");
+        assert_eq!(rec.lp_simplex.pivots, 0);
+        assert_eq!(rec.lp_simplex.refactorizations, 0);
         assert_eq!(rec.experiments[0].lp_pivots, 0);
         assert_eq!(rec.experiments[0].lp_certify_ms, 0.0);
         assert_eq!(rec.experiments[0].lp_solves, 4);
@@ -871,6 +868,6 @@ mod tests {
             "experiments": [] }"#;
         let rec = BenchRecord::from_json(txt).unwrap();
         assert!(rec.experiments.is_empty());
-        assert_eq!(rec.lp_simplex.speedup, 2.0);
+        assert_eq!(rec.lp_simplex.candidate_ms, 0.5);
     }
 }

@@ -1,19 +1,20 @@
 //! CI perf/fallback gate over `BENCH_lp.json`.
 //!
-//! Usage: `perf_gate <committed.json> <fresh.json> [--min-speedup-ratio R]
-//! [--max-effort-ratio R] [--min-interval-accept-rate R]
-//! [--max-certify-ratio R] [--max-busy-ratio R] [--max-p99-ratio R]`
-//! (`--max-e20-ratio` is the legacy spelling of `--max-effort-ratio`)
+//! Usage: `perf_gate <committed.json> <fresh.json> [--max-effort-ratio R]
+//! [--min-interval-accept-rate R] [--max-certify-ratio R]
+//! [--max-busy-ratio R] [--max-p99-ratio R]`
 //!
 //! Compares a freshly measured record against the committed one and fails
 //! (exit 1) when:
 //!
 //! * the exact `lp_simplex` objective strings differ (a correctness
 //!   regression — the exact optimum must never move), or
-//! * the committed and fresh records gate different baseline/candidate
-//!   configurations (a silent cross-generation comparison), or
-//! * the fresh `speedup` regresses more than 30% below the committed value
-//!   (override the 0.7 factor with `--min-speedup-ratio`), or
+//! * the committed and fresh records gate different candidate
+//!   configurations (a silent cross-configuration comparison), or
+//! * the fresh `lp_simplex` solve effort — its `pivots` or
+//!   `refactorizations`, deterministic per instance — exceeds
+//!   `--max-effort-ratio` (default 1.3) × the committed count (skipped
+//!   for a committed record predating the fields), or
 //! * the fresh candidate solve needed the exact fallback, or
 //! * any experiment (all current workloads are non-adversarial) reports a
 //!   `fallback_rate > 0`, or
@@ -30,7 +31,7 @@
 //!   its fresh *solve effort* — pivot or LU-refactorization counts, which
 //!   are deterministic per instance and machine-independent, unlike wall
 //!   time under `parallel_map` — regresses more than 30% above the
-//!   committed one (override the 1.3 factor with `--max-e20-ratio`). A
+//!   committed one (override the 1.3 factor with `--max-effort-ratio`). A
 //!   refactor blow-up is exactly how a broken glue-eta path shows up; an
 //!   e21 pivot blow-up is how a broken component split shows up (a wrong
 //!   merge sends whole clusters back into one basis); an e22 pivot
@@ -88,8 +89,7 @@ fn load(path: &str) -> BenchRecord {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut min_ratio = 0.7f64;
-    let mut max_e20_ratio = 1.3f64;
+    let mut max_effort_ratio = 1.3f64;
     let mut min_accept_rate = 0.9f64;
     let mut max_certify_ratio = 1.5f64;
     let mut max_busy_ratio = 1.05f64;
@@ -97,9 +97,7 @@ fn main() {
     let mut paths: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--min-speedup-ratio"
-            || a == "--max-effort-ratio"
-            || a == "--max-e20-ratio"
+        if a == "--max-effort-ratio"
             || a == "--min-interval-accept-rate"
             || a == "--max-certify-ratio"
             || a == "--max-busy-ratio"
@@ -114,12 +112,11 @@ fn main() {
                 std::process::exit(2);
             });
             match a.as_str() {
-                "--min-speedup-ratio" => min_ratio = parsed,
                 "--min-interval-accept-rate" => min_accept_rate = parsed,
                 "--max-certify-ratio" => max_certify_ratio = parsed,
                 "--max-busy-ratio" => max_busy_ratio = parsed,
                 "--max-p99-ratio" => max_p99_ratio = parsed,
-                _ => max_e20_ratio = parsed,
+                _ => max_effort_ratio = parsed,
             }
         } else {
             paths.push(a);
@@ -127,7 +124,7 @@ fn main() {
     }
     let [committed_path, fresh_path] = paths[..] else {
         eprintln!(
-            "usage: perf_gate <committed.json> <fresh.json> [--min-speedup-ratio R] [--max-effort-ratio R] [--min-interval-accept-rate R] [--max-certify-ratio R] [--max-busy-ratio R] [--max-p99-ratio R]"
+            "usage: perf_gate <committed.json> <fresh.json> [--max-effort-ratio R] [--min-interval-accept-rate R] [--max-certify-ratio R] [--max-busy-ratio R] [--max-p99-ratio R]"
         );
         std::process::exit(2);
     };
@@ -142,21 +139,26 @@ fn main() {
             c.objective, f.objective
         ));
     }
-    if (c.baseline.as_str(), c.candidate.as_str()) != (f.baseline.as_str(), f.candidate.as_str()) {
+    if c.candidate != f.candidate {
         failures.push(format!(
-            "gated configurations changed: committed {}→{}, fresh {}→{}",
-            c.baseline, c.candidate, f.baseline, f.candidate
+            "gated configuration changed: committed {}, fresh {}",
+            c.candidate, f.candidate
         ));
     }
-    let floor = c.speedup * min_ratio;
-    if f.speedup < floor {
-        failures.push(format!(
-            "speedup regressed: fresh {:.2}x < {:.2}x ({}% of committed {:.2}x)",
-            f.speedup,
-            floor,
-            (min_ratio * 100.0).round(),
-            c.speedup
-        ));
+    // The headline's solve effort, like e20–e22's: deterministic per
+    // instance, so any excess is algorithmic. A committed 0 is a record
+    // predating the fields.
+    for (what, committed_n, fresh_n) in [
+        ("pivots", c.pivots, f.pivots),
+        ("refactorizations", c.refactorizations, f.refactorizations),
+    ] {
+        let ceiling = committed_n as f64 * max_effort_ratio;
+        if committed_n > 0 && fresh_n as f64 > ceiling {
+            failures.push(format!(
+                "lp_simplex solve effort regressed: fresh {fresh_n} {what} > {ceiling:.0} ({}% of committed {committed_n})",
+                (max_effort_ratio * 100.0).round(),
+            ));
+        }
     }
     if f.fallback {
         failures.push("lp_simplex candidate solve hit the exact fallback".into());
@@ -203,11 +205,11 @@ fn main() {
                 fe.lp_refactorizations,
             ),
         ] {
-            let ceiling = committed_n as f64 * max_e20_ratio;
+            let ceiling = committed_n as f64 * max_effort_ratio;
             if fresh_n as f64 > ceiling {
                 failures.push(format!(
                     "{gated_id} solve effort regressed: fresh {fresh_n} {what} > {ceiling:.0} ({}% of committed {committed_n})",
-                    (max_e20_ratio * 100.0).round(),
+                    (max_effort_ratio * 100.0).round(),
                 ));
             }
         }
@@ -308,12 +310,13 @@ fn main() {
     }
 
     println!(
-        "perf_gate: objective {} (committed {}), speedup {:.2}x (committed {:.2}x, floor {:.2}x), {} experiments checked",
+        "perf_gate: objective {} (committed {}), pivots {} (committed {}), refactorizations {} (committed {}), {} experiments checked",
         f.objective,
         c.objective,
-        f.speedup,
-        c.speedup,
-        floor,
+        f.pivots,
+        c.pivots,
+        f.refactorizations,
+        c.refactorizations,
         fresh.experiments.len()
     );
     if failures.is_empty() {

@@ -1326,14 +1326,11 @@ pub fn e18() -> ExperimentReport {
     }
 }
 
-/// E19 — LP1 solver scaling: the VUB-aware revised simplex vs the PR-2
-/// revised solver with explicit `x ≤ Y` rows, and vs the PR-1 dense
-/// hybrid as `n` grows. Exact objectives must agree bit for bit; the PR-1
-/// baseline is skipped at `n = 1000` where the dense exact verification
-/// is no longer practical to time. All columns run **monolithically**
-/// (`DecomposeMode::Off`) so the comparison isolates the solver
-/// generations — the shipping default additionally shards by
-/// interval-graph components, measured separately by E21.
+/// E19 — LP1 solver scaling: the shipping configuration
+/// ([`abt_active::LpOptions::default`] — coalesced super-slots, implicit bounds and
+/// VUB families, the bounded revised simplex under the supervision
+/// ladder, component sharding) as `n` grows, with its deterministic
+/// solve effort (pivots and LU refactorizations per solve).
 pub fn e19() -> ExperimentReport {
     use crate::stats::time_best_ms;
     use abt_active::{lp_telemetry, solve_active_lp_with, LpOptions};
@@ -1342,21 +1339,17 @@ pub fn e19() -> ExperimentReport {
         "n",
         "g",
         "horizon",
-        "vub_implicit ms",
-        "PR-2 revised ms",
-        "vs PR-2",
-        "PR-1 hybrid ms",
-        "vs PR-1",
+        "ms",
+        "pivots",
+        "refactorizations",
         "objective",
         "fallbacks",
     ]);
-    let mut notes = Vec::new();
-    let mut all_match = true;
     let mut any_fallback = false;
-    for (n, g, horizon, reps, run_pr1) in [
-        (40usize, 4usize, 100i64, 3usize, true),
-        (200, 4, 400, 2, true),
-        (1000, 4, 2000, 1, false),
+    for (n, g, horizon, reps) in [
+        (40usize, 4usize, 100i64, 3u64),
+        (200, 4, 400, 2),
+        (1000, 4, 2000, 1),
     ] {
         let cfg = RandomConfig {
             n,
@@ -1367,64 +1360,36 @@ pub fn e19() -> ExperimentReport {
         };
         let inst = random_active_feasible(&cfg, 7);
         let before = lp_telemetry();
-        let (vub_ms, vub) = time_best_ms(reps, || {
-            solve_active_lp_with(&inst, &LpOptions::pr3_monolithic())
-                .expect("feasible by construction")
+        let (ms, lp) = time_best_ms(reps as usize, || {
+            solve_active_lp_with(&inst, &LpOptions::default()).expect("feasible by construction")
         });
-        let after = lp_telemetry();
-        any_fallback |= after.fallbacks > before.fallbacks;
-        let (pr2_ms, pr2) = time_best_ms(reps, || {
-            solve_active_lp_with(&inst, &LpOptions::pr2_revised_bounds())
-                .expect("feasible by construction")
-        });
-        all_match &= pr2.objective == vub.objective;
-        let pr1 = run_pr1.then(|| {
-            time_best_ms(reps, || {
-                solve_active_lp_with(&inst, &LpOptions::pr1_hybrid())
-                    .expect("feasible by construction")
-            })
-        });
-        let (pr1_cell, pr1_speedup_cell) = match &pr1 {
-            Some((pr1_ms, base)) => {
-                all_match &= base.objective == vub.objective;
-                (format!("{pr1_ms:.1}"), format!("{:.2}x", pr1_ms / vub_ms))
-            }
-            None => ("-".into(), "-".into()),
-        };
+        let d = lp_telemetry().delta(&before);
+        any_fallback |= d.fallbacks > 0;
         table.row([
             n.to_string(),
             g.to_string(),
             horizon.to_string(),
-            format!("{vub_ms:.1}"),
-            format!("{pr2_ms:.1}"),
-            format!("{:.2}x", pr2_ms / vub_ms),
-            pr1_cell,
-            pr1_speedup_cell,
-            vub.objective.to_string(),
-            (after.fallbacks - before.fallbacks).to_string(),
+            format!("{ms:.1}"),
+            (d.pivots / reps).to_string(),
+            (d.refactorizations / reps).to_string(),
+            lp.objective.to_string(),
+            d.fallbacks.to_string(),
         ]);
     }
-    notes.push(format!(
-        "exact objectives bit-identical across solver generations wherever they ran: {}",
-        if all_match { "yes" } else { "NO" }
-    ));
-    notes.push(format!(
+    let notes = vec![format!(
         "exact fallbacks on this family: {}",
         if any_fallback {
             "YES (unexpected)"
         } else {
             "none"
         }
-    ));
-    notes.push(
-        "n = 1000 skips the PR-1 dense hybrid; its dense exact verification is O(m²·cols) and no longer practical there".into(),
-    );
+    )];
     ExperimentReport {
         id: "e19",
         busy: Vec::new(),
         speedup: None,
-        title: "LP1 solver scaling — VUB-aware revised simplex vs PR-2/PR-1".into(),
-        claim: "eliminating the O(n²) x ≤ Y rows keeps LP1 solvable at n in the thousands".into(),
+        title: "LP1 solver scaling — the shipping VUB-aware revised simplex".into(),
+        claim: "with no O(n²) x ≤ Y rows, LP1 stays solvable at n in the thousands".into(),
         table,
         notes,
     }
@@ -1432,9 +1397,10 @@ pub fn e19() -> ExperimentReport {
 
 /// E20 — VUB-heavy stress sweep: nested windows with high per-window job
 /// fan-in (after Cao et al., arXiv:2207.12507) maximize the number of
-/// `x_{I,j} ≤ Y_I` caps per interval. Compares the VUB-aware default
-/// against the PR-2 encoding (caps as rows) and records the iteration
-/// telemetry of the VUB runs. The independent LP1 solves of the grid run
+/// `x_{I,j} ≤ Y_I` caps per interval, each of which the shipping
+/// configuration keeps out of the basis as a VUB family membership.
+/// Records the sweep's iteration telemetry (CI gates its pivot and
+/// refactorization counts). The independent LP1 solves of the grid run
 /// through [`parallel_map`].
 pub fn e20() -> ExperimentReport {
     use crate::stats::time_best_ms;
@@ -1462,12 +1428,11 @@ pub fn e20() -> ExperimentReport {
             (n, fan_in, vub_heavy(&cfg, 11))
         })
         .collect();
-    // Two homogeneous parallel phases with one telemetry window each: the
-    // counters are process-global atomics, so a per-cell delta taken
-    // inside `parallel_map` would absorb the concurrent cells' work — an
-    // aggregate delta around a phase that runs only one configuration is
-    // exact (it is the sum of that configuration's per-solve
-    // contributions).
+    // One parallel phase with one telemetry window: the counters are
+    // process-global atomics, so a per-cell delta taken inside
+    // `parallel_map` would absorb the concurrent cells' work — an
+    // aggregate delta around the phase is exact (it is the sum of the
+    // per-solve contributions).
     let before = lp_telemetry();
     let vub_runs = parallel_map(instances.clone(), |(_, _, inst)| {
         time_best_ms(2, || {
@@ -1475,43 +1440,19 @@ pub fn e20() -> ExperimentReport {
         })
     });
     let vub_telemetry = lp_telemetry().delta(&before);
-    let rows_runs = parallel_map(instances.clone(), |(_, _, inst)| {
-        time_best_ms(2, || {
-            solve_active_lp_with(&inst, &LpOptions::pr2_revised_bounds())
-                .expect("feasible by construction")
-        })
-    });
-    let mut table = Table::new([
-        "n (target)",
-        "fan-in",
-        "jobs",
-        "vub_implicit ms",
-        "x≤Y rows ms",
-        "speedup",
-        "objective",
-    ]);
+    let mut table = Table::new(["n (target)", "fan-in", "jobs", "ms", "objective"]);
     let mut notes = Vec::new();
-    let mut all_match = true;
-    for (((n, fan_in, inst), (vub_ms, vub)), (rows_ms, rows_lp)) in
-        instances.iter().zip(&vub_runs).zip(&rows_runs)
-    {
-        all_match &= vub.objective == rows_lp.objective;
+    for ((n, fan_in, inst), (vub_ms, vub)) in instances.iter().zip(&vub_runs) {
         table.row([
             n.to_string(),
             fan_in.to_string(),
             inst.len().to_string(),
             format!("{vub_ms:.1}"),
-            format!("{rows_ms:.1}"),
-            format!("{:.2}x", rows_ms / vub_ms),
             vub.objective.to_string(),
         ]);
     }
     notes.push(format!(
-        "objectives bit-identical between the VUB and row encodings on every instance: {}",
-        if all_match { "yes" } else { "NO" }
-    ));
-    notes.push(format!(
-        "exact fallbacks during the VUB runs: {}",
+        "exact fallbacks during the sweep: {}",
         if vub_telemetry.fallbacks == 0 {
             "none".to_string()
         } else {
@@ -1519,20 +1460,20 @@ pub fn e20() -> ExperimentReport {
         }
     ));
     notes.push(format!(
-        "VUB-run telemetry across the sweep: {} pivots, {} bound/VUB flips, {} LU refactorizations, {:.1} ms exact certification",
+        "telemetry across the sweep: {} pivots, {} bound/VUB flips, {} LU refactorizations, {:.1} ms exact certification",
         vub_telemetry.pivots,
         vub_telemetry.bound_flips,
         vub_telemetry.refactorizations,
         vub_telemetry.certify_nanos as f64 / 1e6
     ));
     notes.push(
-        "nested windows put every deep interval inside all ancestor windows, so the row encoding carries one cap row per (job, interval) pair while the VUB encoding keeps the basis at one row per interval + one per job".into(),
+        "nested windows put every deep interval inside all ancestor windows, so a row encoding would carry one cap row per (job, interval) pair; the VUB encoding keeps the basis at one row per interval + one per job".into(),
     );
     ExperimentReport {
         id: "e20",
         busy: Vec::new(),
         speedup: None,
-        title: "VUB-heavy nested-window sweep — implicit VUB families vs cap rows".into(),
+        title: "VUB-heavy nested-window sweep — implicit VUB families".into(),
         claim: "Schrage-style VUB pivoting removes the O(n²) cap rows from the working basis"
             .into(),
         table,
@@ -1552,7 +1493,9 @@ pub fn e20() -> ExperimentReport {
 /// Auto phase are deterministic per instance and gated by CI.
 pub fn e21() -> ExperimentReport {
     use crate::stats::time_best_ms;
-    use abt_active::{lp_telemetry, solve_active_lp_with, LpOptions};
+    use abt_active::{
+        component_vars_window, lp_telemetry, solve_active_lp_with, DecomposeMode, LpOptions,
+    };
     use abt_workloads::{many_components, ManyComponentsConfig};
 
     let grid: Vec<(usize, usize, usize)> = vec![
@@ -1582,6 +1525,9 @@ pub fn e21() -> ExperimentReport {
     // (components through `parallel_map`), so the grid itself runs
     // sequentially — no nested-pool skew in the timings.
     let before = lp_telemetry();
+    // The exact in-phase high water (the telemetry delta reads 0 when an
+    // earlier experiment already sharded a larger component).
+    let vars_window = component_vars_window();
     let auto_runs: Vec<_> = instances
         .iter()
         .map(|(_, reps, inst)| {
@@ -1595,7 +1541,7 @@ pub fn e21() -> ExperimentReport {
         .iter()
         .map(|(_, reps, inst)| {
             time_best_ms(*reps, || {
-                solve_active_lp_with(inst, &LpOptions::pr3_monolithic())
+                solve_active_lp_with(inst, &LpOptions::default().decompose(DecomposeMode::Off))
                     .expect("feasible by construction")
             })
         })
@@ -1641,7 +1587,7 @@ pub fn e21() -> ExperimentReport {
             "Auto-phase telemetry: {} sharded solves over {} component sub-LPs (largest component {} LP variables), {} pivots, {} LU refactorizations",
             auto_telemetry.sharded_solves,
             auto_telemetry.components,
-            auto_telemetry.max_component_vars,
+            vars_window.value(),
             auto_telemetry.pivots,
             auto_telemetry.refactorizations,
         ),

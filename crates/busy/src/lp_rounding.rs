@@ -19,9 +19,10 @@
 //! Its optimum `Σ len_i · max(D_i/g, 1)` is a lower bound on the
 //! fractional cost of *any* feasible schedule, hence `LP ≤ OPT ≤`
 //! [`exact_busy_time`](crate::exact_busy_time). The LP is solved through
-//! the same supervised backend ladder as the active side (`Revised` →
-//! `DenseHybrid` → `DenseExact`, each rung panic-isolated), with tiered
-//! exact certification of the terminal basis.
+//! the same supervision ladder as the active side,
+//! [`abt_lp::supervised_solve`] (cold revised → dense hybrid → dense
+//! exact, each rung panic-isolated), with tiered exact certification of
+//! the terminal basis; the ladder records under the `busy.lp.*` metrics.
 //!
 //! # The rounding
 //!
@@ -54,24 +55,24 @@
 //! assert!(cost >= busy_lower_bounds(&inst).best());
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use abt_core::obs::{self, metrics::Counter, metrics::Histogram};
-use abt_core::{
-    busy_lower_bounds, panic_message, BusySchedule, DemandProfile, Error, Instance, Interval,
-    Result, SolveFailure,
-};
-use abt_lp::{solve_lp, Cmp, LpOptions, LpProblem, LpReport, Rat, SolveStats, SolverBackend};
+use abt_core::{busy_lower_bounds, BusySchedule, DemandProfile, Error, Instance, Interval, Result};
+use abt_lp::{supervised_solve, Cmp, LpProblem, LpReport, Rat, SolveOptions, SolveStats};
 
 use crate::kumar_rudra::level_band_pack;
 
 // ---------------------------------------------------------------------------
 // Telemetry: a view over the shared `abt_core::obs` metrics registry under
-// the `busy.lp.*` prefix, mirroring `abt_active::lp_telemetry` (abt-busy
-// cannot depend on abt-active, so the bench harness merges this delta into
-// the experiment record itself).
+// the `busy.lp.*` prefix, which the supervision ladder records into,
+// mirroring `abt_active::lp_telemetry` (abt-busy cannot depend on
+// abt-active, so the bench harness merges this delta into the experiment
+// record itself).
 // ---------------------------------------------------------------------------
+
+/// Metric prefix of the busy half's ladder solves.
+const BUSY_LP_METRICS: &str = "busy.lp.";
 
 /// Handles into the process-global registry for every busy-LP metric.
 struct BusyMetrics {
@@ -177,20 +178,6 @@ pub fn busy_solve_latency_snapshot() -> abt_core::obs::HistogramSnapshot {
     met().solve_latency_us.snapshot()
 }
 
-fn record_solve(rep: &LpReport) {
-    let m = met();
-    m.solves.inc();
-    if rep.fallback {
-        m.fallbacks.inc();
-    }
-    m.pivots.add(rep.stats.pivots);
-    m.bound_flips.add(rep.stats.bound_flips);
-    m.refactorizations.add(rep.stats.refactorizations);
-    m.certify_nanos.add(rep.stats.certify_nanos);
-    m.interval_accepts.add(rep.stats.interval_accepts);
-    m.interval_escalations.add(rep.stats.interval_escalations);
-}
-
 // ---------------------------------------------------------------------------
 // The LP model.
 // ---------------------------------------------------------------------------
@@ -243,62 +230,20 @@ pub fn build_busy_lp(inst: &Instance) -> Result<BusyLpModel> {
 // The supervised solve ladder.
 // ---------------------------------------------------------------------------
 
-/// Solves a busy-time LP through the degradation ladder
-/// `Revised → DenseHybrid → DenseExact`, panic-isolating each rung.
-///
-/// Mirrors `abt_active::supervise::supervised_solve`: a failing rung
-/// records a demotion and the next rung is tried; only the winning
-/// rung's own internal-fallback flag counts toward the fallback rate.
-/// If every rung fails the solve is quarantined.
+/// Solves a busy-time LP down the shared supervision ladder
+/// ([`abt_lp::supervised_solve`]: cold revised → dense hybrid → dense
+/// exact, each rung panic-isolated), recording under the `busy.lp.*`
+/// metrics. If every rung fails the solve is quarantined.
 pub fn solve_busy_lp(lp: &LpProblem<Rat>) -> Result<LpReport> {
-    let rungs = [
-        SolverBackend::Revised,
-        SolverBackend::DenseHybrid,
-        SolverBackend::DenseExact,
-    ];
-    let mut span = abt_core::obs_span!("solve.component", model = "busy", vars = lp.num_vars());
-    let started = std::time::Instant::now();
-    let mut first_failure: Option<SolveFailure> = None;
-    for (i, backend) in rungs.into_iter().enumerate() {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            solve_lp(lp, &LpOptions::new().backend(backend))
-        }));
-        let failure = match attempt {
-            Ok(Ok(rep)) => {
-                record_solve(&rep);
-                met()
-                    .solve_latency_us
-                    .record(started.elapsed().as_micros() as u64);
-                span.field("rung", format_args!("{backend:?}"));
-                return Ok(rep);
-            }
-            Ok(Err(f)) => f,
-            Err(p) => SolveFailure::Panicked(panic_message(p.as_ref())),
-        };
-        met().demotions.inc();
-        obs::trace::event("supervise.demotion", || {
-            vec![
-                ("model", "busy".to_string()),
-                ("failure", failure.to_string()),
-                ("from", format!("{backend:?}")),
-                (
-                    "to",
-                    rungs
-                        .get(i + 1)
-                        .map_or("quarantine".into(), |b| format!("{b:?}")),
-                ),
-            ]
+    supervised_solve(lp, &SolveOptions::new(), BUSY_LP_METRICS).map_err(|f| {
+        met().quarantined.inc();
+        obs::trace::event("supervise.quarantine", || {
+            vec![("model", "busy".to_string())]
         });
-        first_failure.get_or_insert(failure);
-    }
-    met().quarantined.inc();
-    obs::trace::event("supervise.quarantine", || {
-        vec![("model", "busy".to_string())]
-    });
-    Err(Error::Quarantined(format!(
-        "busy LP: every ladder rung failed; first failure: {}",
-        first_failure.expect("at least one rung ran")
-    )))
+        Error::Quarantined(format!(
+            "busy LP: every ladder rung failed; first failure: {f}"
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------

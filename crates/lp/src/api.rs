@@ -1,33 +1,27 @@
-//! The unified solver surface: one fallible core, [`solve_lp`], replacing
-//! the accreted `solve_revised*` / `try_solve_revised*` /
-//! `solve_hybrid*` entry-point zoo with a single policy-driven dispatch.
+//! The solver surface: one fallible entry point, [`solve_lp`], driven by
+//! one policy struct, [`SolveOptions`].
 //!
-//! [`LpOptions`] carries every solve policy — engine
+//! [`SolveOptions`] carries every solve policy — engine
 //! ([`SolverBackend`]), float-pass pricing and budgets
 //! ([`crate::bounds::BoundedOptions`]), certification tier
 //! ([`CertifyMode`]), and an optional warm-start snapshot pool — behind a
 //! chainable builder, so adding a policy is a new option field rather
-//! than a new `solve_*` name. The legacy entry points survive as thin
-//! `#[deprecated]` shims over the same engines (removal is planned two
-//! growth generations out; see `ARCHITECTURE.md`), so downstream code
-//! migrates at its own pace with zero behaviour change.
+//! than a new `solve_*` name. [`crate::supervise::supervised_solve`]
+//! runs the same options down the degradation ladder.
 
 use crate::bounds::BoundedOptions;
 use crate::model::LpProblem;
 use crate::rational::Rat;
-use crate::simplex::{
-    self, solve_hybrid_core, try_solve_revised_core, CertifyMode, LpSolution, RevisedOptions,
-    SolveStats,
-};
-use crate::warm::{try_solve_revised_warm_core, BasisSnapshot, WarmReport};
+use crate::simplex::{self, dense_hybrid, revised_cold, CertifyMode, LpSolution, SolveStats};
+use crate::warm::{revised_warm, BasisSnapshot};
 use abt_core::error::SolveFailure;
 
 /// Which solver engine [`solve_lp`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Dense two-phase simplex with every pivot in exact rationals — the
-    /// engine of last resort. Slow, but with no float pass there is
-    /// nothing to certify or refute.
+    /// Dense two-phase simplex with every pivot in exact rationals, over
+    /// the row encoding (implicit bounds and VUBs materialized as rows) —
+    /// the differential oracle and the ladder's rung of last resort.
     DenseExact,
     /// Dense `f64` search with exact certification of the terminal basis
     /// and an internal dense-exact fallback; bounds and VUBs are
@@ -37,7 +31,7 @@ pub enum SolverBackend {
     /// The bounded revised simplex — implicit bounds, Schrage-style VUB
     /// pivoting, partial pricing, sparse-LU certification, optional warm
     /// starts. The default, and the only backend that consults
-    /// `snapshots`, budgets, and `certify`.
+    /// `snapshots` and budgets.
     #[default]
     Revised,
 }
@@ -46,35 +40,35 @@ pub enum SolverBackend {
 /// builder:
 ///
 /// ```
-/// use abt_lp::{CertifyMode, LpOptions};
-/// let opts = LpOptions::new().certify(CertifyMode::Exact);
+/// use abt_lp::{CertifyMode, SolveOptions};
+/// let opts = SolveOptions::new().certify(CertifyMode::Exact);
 /// assert_eq!(opts.certify, CertifyMode::Exact);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LpOptions<'pool> {
+pub struct SolveOptions<'pool> {
     /// The engine to run; see [`SolverBackend`].
     pub backend: SolverBackend,
     /// Float-pass pricing window and pivot/refactorization/wall-time
     /// budgets (`Revised` backend only).
     pub pricing: BoundedOptions,
-    /// Certification tier policy for the terminal basis (`Revised`
-    /// backend only; the dense backends certify exactly by construction).
+    /// Certification tier policy for the terminal basis of a float pass
+    /// (`DenseExact` pivots in rationals and has nothing to certify).
     pub certify: CertifyMode,
     /// Warm-start candidates, tried in order (`Revised` backend only).
     pub snapshots: &'pool [BasisSnapshot],
     /// With a `true`, a `Revised` solve never falls through to a cold
     /// solve: exhausting `snapshots` returns
-    /// [`SolveFailure::ShapeDrift`]. This is rung 1 of the supervision
-    /// ladder in `abt-active`, where the supervisor decides what a pool
-    /// miss costs.
+    /// [`SolveFailure::ShapeDrift`]. This is the warm rung of the
+    /// supervision ladder, where the supervisor decides what a pool miss
+    /// costs.
     pub warm_only: bool,
 }
 
-impl<'pool> LpOptions<'pool> {
+impl<'pool> SolveOptions<'pool> {
     /// The default policy: cold `Revised` backend, default pricing, no
     /// budgets, [`CertifyMode::IntervalThenExact`].
-    pub fn new() -> LpOptions<'static> {
-        LpOptions::default()
+    pub fn new() -> SolveOptions<'static> {
+        SolveOptions::default()
     }
 
     /// Selects the engine.
@@ -97,8 +91,8 @@ impl<'pool> LpOptions<'pool> {
 
     /// Offers warm-start candidates (tried in order; see
     /// [`crate::warm`]). Re-borrows the options at the pool's lifetime.
-    pub fn snapshots<'b>(self, pool: &'b [BasisSnapshot]) -> LpOptions<'b> {
-        LpOptions {
+    pub fn snapshots<'b>(self, pool: &'b [BasisSnapshot]) -> SolveOptions<'b> {
+        SolveOptions {
             backend: self.backend,
             pricing: self.pricing,
             certify: self.certify,
@@ -107,71 +101,65 @@ impl<'pool> LpOptions<'pool> {
         }
     }
 
-    /// Makes a `Revised` solve warm-only (see [`LpOptions::warm_only`]).
+    /// Makes a `Revised` solve warm-only (see [`SolveOptions::warm_only`]).
     pub fn warm_only(mut self, on: bool) -> Self {
         self.warm_only = on;
         self
     }
-
-    /// The revised-engine view of this policy.
-    pub(crate) fn revised(&self) -> RevisedOptions {
-        RevisedOptions {
-            pricing: self.pricing,
-            certify: self.certify,
-        }
-    }
 }
 
 /// Result of [`solve_lp`]: the certified solution plus provenance and
-/// solve counters — the union of the legacy `HybridReport` and
-/// `WarmReport` surfaces.
+/// solve counters.
 #[derive(Debug, Clone)]
 pub struct LpReport {
-    /// The exact solution: status, objective, `x`, row duals. Bit
-    /// identical across every backend and certify mode.
+    /// The exact solution: status, objective, `x`, row duals. Status and
+    /// objective are bit identical across every backend and certify mode.
     pub solution: LpSolution<Rat>,
     /// `true` iff the answer came from the pure exact dense path — the
-    /// `DenseExact` backend itself, or a dense-backend internal fallback.
+    /// `DenseExact` backend itself, or the dense hybrid's internal
+    /// fallback.
     pub fallback: bool,
     /// `true` iff a warm-installed snapshot produced the certified
     /// answer.
     pub warm_hit: bool,
     /// Snapshot of the verified terminal basis for future warm starts
-    /// (`Revised` backend, non-fallback solves only).
+    /// (`Revised` backend only).
     pub snapshot: Option<BasisSnapshot>,
     /// Pivot/flip/refactorization counters and the per-tier certify
     /// clocks.
     pub stats: SolveStats,
 }
 
-impl LpReport {
-    fn from_warm(wr: WarmReport) -> LpReport {
-        LpReport {
-            solution: wr.report.solution,
-            fallback: wr.report.fallback,
-            warm_hit: wr.warm_hit,
-            snapshot: wr.snapshot,
-            stats: wr.report.stats,
-        }
-    }
-}
-
-/// Solves `lp` under the policy in `opts` — **the** entry point every
-/// other solve name shims onto.
+/// Solves `lp` under the policy in `opts`.
 ///
 /// Dispatch: the `DenseExact` and `DenseHybrid` backends never fail (the
 /// hybrid absorbs refutations in its internal exact fallback). The
 /// `Revised` backend tries the warm pool first (when one is offered),
 /// falls through to a cold revised solve on a routine pool miss — unless
 /// `warm_only` — and surfaces every genuine failure as a typed
-/// [`SolveFailure`] so callers (the supervision ladder in `abt-active`)
-/// choose the next rung. An `Ok` from the `Revised` backend is always an
-/// exactly certified optimum; which certification *tier* proved dual
-/// feasibility is reported in [`SolveStats::interval_accepts`] /
+/// [`SolveFailure`] so the caller (normally the supervision ladder,
+/// [`crate::supervise::supervised_solve`]) chooses the next rung:
+///
+/// * `Err(BudgetExceeded(_))` — a pivot/refactorization/wall-time budget
+///   in `opts.pricing` tripped, in the float pass or the certifier. The
+///   wall-time budget is **per stage**: the float pass and the certifier
+///   each get a fresh clock of the same duration.
+/// * `Err(NumericalStall)` — the float pass stalled or claimed unbounded,
+///   or its terminal basis was exactly refuted; an exact backend must
+///   decide.
+/// * `Err(Infeasible)` — the *float* pass claims infeasibility. Tolerance
+///   pivoting cannot certify that claim, so callers must confirm with an
+///   exact backend before reporting infeasibility outward.
+/// * `Err(ShapeDrift)` — `warm_only` and no snapshot produced a certified
+///   answer.
+///
+/// An `Ok` from the `Revised` backend is always an exactly certified
+/// optimum; which certification *tier* proved dual feasibility is
+/// reported in [`SolveStats::interval_accepts`] /
 /// [`SolveStats::interval_escalations`].
 ///
 /// ```
-/// use abt_lp::{solve_lp, Cmp, LpOptions, LpProblem, LpStatus, Rat};
+/// use abt_lp::{solve_lp, Cmp, LpProblem, LpStatus, Rat, SolveOptions};
 ///
 /// // min −x − z  s.t.  x + y + z ≥ 1,  y ≤ 4 (implicit bound),
 /// //                   x ≤ y (VUB family: key y, dependent x), z ≤ 2.
@@ -188,12 +176,12 @@ impl LpReport {
 /// lp.set_upper(z, Rat::from_int(2));
 /// lp.set_vub(x, y);
 ///
-/// let rep = solve_lp(&lp, &LpOptions::new()).expect("clean solve");
+/// let rep = solve_lp(&lp, &SolveOptions::new()).expect("clean solve");
 /// assert_eq!(rep.solution.status, LpStatus::Optimal);
 /// assert_eq!(rep.solution.objective, Rat::from_int(-6));
 /// assert!(lp.is_feasible(&rep.solution.x));
 /// ```
-pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, SolveFailure> {
+pub fn solve_lp(lp: &LpProblem<Rat>, opts: &SolveOptions) -> Result<LpReport, SolveFailure> {
     match opts.backend {
         SolverBackend::DenseExact => Ok(LpReport {
             solution: simplex::solve(lp),
@@ -202,21 +190,11 @@ pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, Solve
             snapshot: None,
             stats: SolveStats::default(),
         }),
-        SolverBackend::DenseHybrid => {
-            let rep = solve_hybrid_core(lp, opts.certify);
-            Ok(LpReport {
-                solution: rep.solution,
-                fallback: rep.fallback,
-                warm_hit: false,
-                snapshot: None,
-                stats: rep.stats,
-            })
-        }
+        SolverBackend::DenseHybrid => Ok(dense_hybrid(lp, opts.certify)),
         SolverBackend::Revised => {
-            let ropts = opts.revised();
             if !opts.snapshots.is_empty() {
-                match try_solve_revised_warm_core(lp, &ropts, opts.snapshots) {
-                    Ok(wr) => return Ok(LpReport::from_warm(wr)),
+                match revised_warm(lp, opts) {
+                    Ok(rep) => return Ok(rep),
                     // A pool miss is a routine cache outcome; fall through
                     // to the cold solve unless the caller owns that
                     // decision.
@@ -226,15 +204,7 @@ pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, Solve
             } else if opts.warm_only {
                 return Err(SolveFailure::ShapeDrift);
             }
-            let (report, prop) = try_solve_revised_core(lp, &ropts)?;
-            let snapshot = prop.as_ref().and_then(BasisSnapshot::from_proposal);
-            Ok(LpReport {
-                solution: report.solution,
-                fallback: report.fallback,
-                warm_hit: false,
-                snapshot,
-                stats: report.stats,
-            })
+            revised_cold(lp, opts)
         }
     }
 }

@@ -53,8 +53,9 @@
 //!
 //! The float pass never certifies anything: its terminal
 //! [`basis`](BoundedBasis::basis)/[`state`](BoundedBasis::state) proposal is
-//! re-verified exactly (see [`crate::simplex::solve_revised`]), and any
-//! numerical mishap here merely costs a fallback to the exact solver.
+//! re-verified exactly (see [`crate::simplex`]'s bounded-variable revised
+//! engine), and any numerical mishap here merely costs a demotion down the
+//! supervision ladder ([`crate::supervise`]).
 //!
 //! # Scratch space
 //!

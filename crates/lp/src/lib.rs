@@ -1,26 +1,31 @@
 //! # abt-lp
 //!
-//! A self-contained linear-programming substrate: a dense two-phase primal
-//! simplex solver over a flat row-major tableau, generic over an exact
-//! `i128` rational scalar (so the §3 rounding's case analysis is
-//! noise-free) or `f64`; a float-first **hybrid** solve ([`solve_hybrid`])
-//! that runs the search in `f64` and re-verifies the terminal basis
-//! exactly; and the bounded-variable **revised** hybrid ([`solve_revised`])
-//! — implicit `[0, u]` variable bounds *and* Schrage-style variable upper
-//! bounds `x ≤ y` ([`LpProblem::set_vub`]) handled by the pivoting rules
-//! ([`bounds`]), partial pricing, exact verification through a sparse
-//! rational LU of the (key-column-augmented) basis matrix ([`lu`]), and
-//! per-thread scratch reuse through the slab arena ([`arena`]) — the
-//! default path for the active-time LPs. The [`warm`] module adds
-//! **warm starts**: [`BasisSnapshot`]s of finished solves re-installed
-//! into structurally identical problems ([`solve_revised_warm`]), with
-//! the same exact certification, so streams of sibling LPs skip most of
-//! the pivot work.
+//! A self-contained linear-programming substrate with **one production
+//! solve path**, **one differential oracle**, and **one supervision
+//! ladder**:
+//!
+//! * [`solve_lp`] under [`SolveOptions`] — the single entry point. Its
+//!   default [`SolverBackend::Revised`] engine is a bounded-variable
+//!   revised simplex in `f64` with implicit `[0, u]` variable bounds and
+//!   Schrage-style variable upper bounds `x ≤ y`
+//!   ([`LpProblem::set_vub`]) handled by the pivoting rules ([`bounds`]),
+//!   partial pricing, per-thread scratch reuse through the slab arena
+//!   ([`arena`]), optional **warm starts** from [`BasisSnapshot`]s of
+//!   earlier solves ([`warm`]), and exact certification of the terminal
+//!   basis through a sparse rational LU ([`lu`]), tiered through
+//!   directed-rounding interval arithmetic ([`interval`]).
+//! * [`solve`] — a dense two-phase simplex over a flat row-major tableau,
+//!   generic over an exact `i128` rational scalar or `f64`. Over [`Rat`]
+//!   it is the [`SolverBackend::DenseExact`] oracle: every bound and VUB
+//!   materialized as a row, every pivot exact.
+//! * [`supervised_solve`] — the degradation ladder (warm → cold revised →
+//!   dense hybrid → dense exact, each rung panic-isolated) that both
+//!   halves of the paper's pipeline solve through ([`supervise`]).
 //!
 //! The allowed offline dependency set contains no LP solver (the paper's
 //! reproduction band notes the thin LP ecosystem), so this crate implements
-//! simplex from scratch; see `DESIGN.md` §2 and the repo-root
-//! `ARCHITECTURE.md` for the three solver generations.
+//! simplex from scratch; see the repo-root `ARCHITECTURE.md` for how it
+//! got here.
 //!
 //! # Example
 //!
@@ -33,7 +38,7 @@
 //! ([`CertifyMode::IntervalThenExact`], the default):
 //!
 //! ```
-//! use abt_lp::{solve_lp, Cmp, LpOptions, LpProblem, LpStatus, Rat};
+//! use abt_lp::{solve_lp, Cmp, LpProblem, LpStatus, Rat, SolveOptions};
 //!
 //! // min −x − z  s.t.  x + y + z ≥ 1,  y ≤ 4 (implicit bound),
 //! //                   x ≤ y (VUB family: key y, dependent x), z ≤ 2.
@@ -50,7 +55,7 @@
 //! lp.set_upper(z, Rat::from_int(2));
 //! lp.set_vub(x, y); // x rides glued to its key inside the pivoting rules
 //!
-//! let rep = solve_lp(&lp, &LpOptions::new()).expect("clean solve");
+//! let rep = solve_lp(&lp, &SolveOptions::new()).expect("clean solve");
 //! assert_eq!(rep.solution.status, LpStatus::Optimal);
 //! // Optimum: x = y = 4 (x glued to its key at the key's bound), z = 2.
 //! assert_eq!(rep.solution.objective, Rat::from_int(-6));
@@ -68,10 +73,11 @@ pub mod model;
 pub mod rational;
 pub mod scalar;
 pub mod simplex;
+pub mod supervise;
 pub mod warm;
 
 pub use abt_core::error::{BudgetKind, SolveFailure};
-pub use api::{solve_lp, LpOptions, LpReport, SolverBackend};
+pub use api::{solve_lp, LpReport, SolveOptions, SolverBackend};
 pub use arena::{with_arena, ArenaStats, SolveArena};
 pub use bounds::{
     solve_bounded_f64, solve_bounded_f64_warm_with, solve_bounded_f64_with, BoundedBasis,
@@ -83,14 +89,6 @@ pub use lu::SparseLu;
 pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
-pub use simplex::{
-    solve, CertifyMode, HybridReport, LpSolution, LpStatus, RevisedOptions, SolveStats,
-};
-#[allow(deprecated)] // the legacy names stay re-exported through their deprecation window
-pub use simplex::{
-    solve_hybrid, solve_hybrid_report, solve_revised, solve_revised_report, solve_revised_with,
-    try_solve_revised_with,
-};
-#[allow(deprecated)] // the legacy names stay re-exported through their deprecation window
-pub use warm::{solve_revised_warm, try_solve_revised_cold, try_solve_revised_warm};
-pub use warm::{BasisSnapshot, WarmReport};
+pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
+pub use supervise::supervised_solve;
+pub use warm::BasisSnapshot;

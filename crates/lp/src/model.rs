@@ -4,12 +4,12 @@
 //!
 //! * [`LpProblem::set_upper`] — an **implicit** bound `x_v ≤ u` carried on
 //!   the variable itself. The bounded revised simplex
-//!   ([`crate::simplex::solve_revised`]) handles these inside the pivoting
+//!   ([`crate::SolverBackend::Revised`]) handles these inside the pivoting
 //!   rules, so they never become tableau rows; the dense solvers
 //!   materialize them as rows internally via [`LpProblem::bounds_as_rows`].
-//! * [`LpProblem::bound_var`] — an **explicit** `≤` row. This is the seed
-//!   formulation, kept as the differential-test oracle: the two encodings
-//!   must produce bit-identical optima under every backend.
+//! * [`LpProblem::bound_var`] — an **explicit** `≤` row. The two
+//!   encodings must produce bit-identical optima under every backend (the
+//!   random-LP property tests pin it).
 //!
 //! **Variable upper bounds** (VUBs) `x ≤ y` — one variable capped by
 //! another — get the same dual treatment: [`LpProblem::set_vub`] registers

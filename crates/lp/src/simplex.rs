@@ -1,8 +1,7 @@
 //! Simplex solvers: a dense two-phase primal simplex over a flat tableau,
 //! a float-first **hybrid** mode for exact-rational problems, and the
-//! bounded-variable **revised** hybrid ([`solve_revised`]) that keeps
-//! variable bounds out of the tableau and verifies terminal bases with a
-//! sparse exact LU.
+//! bounded-variable **revised** engine that keeps variable bounds out of
+//! the tableau and verifies terminal bases with a sparse exact LU.
 //!
 //! # Tableau layout
 //!
@@ -16,20 +15,26 @@
 //! within a row, scratch entries that are exactly zero (rational tableaus
 //! of the paper's LPs are sparse, so both skips matter).
 //!
-//! # Solve modes
+//! # Engines
 //!
 //! * [`solve`] — the classic generic path: two-phase primal simplex in the
 //!   scalar type `S` (exact [`Rat`] or tolerance-
 //!   aware `f64`). Anti-cycling: Dantzig's rule with an automatic permanent
-//!   switch to Bland's rule after a run of degenerate pivots.
-//! * [`solve_hybrid`] — for `LpProblem<Rat>`: solve the whole LP in `f64`
-//!   first, then *re-verify the terminal basis exactly*. Exactness is only
-//!   needed at the final vertex, not during the search, so this is
-//!   typically an order of magnitude faster than pivoting in rationals.
+//!   switch to Bland's rule after a run of degenerate pivots. Over
+//!   [`Rat`] this is [`SolverBackend::DenseExact`](crate::SolverBackend),
+//!   the differential oracle.
+//! * The **dense hybrid** ([`SolverBackend::DenseHybrid`](crate::SolverBackend))
+//!   — for `LpProblem<Rat>`: solve the whole LP in `f64` first, then
+//!   *re-verify the terminal basis exactly*. Exactness is only needed at
+//!   the final vertex, not during the search, so this is typically an
+//!   order of magnitude faster than pivoting in rationals.
+//! * The **bounded revised** engine
+//!   ([`SolverBackend::Revised`](crate::SolverBackend), the default of
+//!   [`solve_lp`](crate::solve_lp)) — described below.
 //!
 //! # Hybrid verification contract
 //!
-//! `solve_hybrid` returns **bit-identical status and objective** to the
+//! The dense hybrid returns **bit-identical status and objective** to the
 //! pure-rational [`solve`] (`x`/`duals` may differ between alternate
 //! optimal bases, but are always an exactly-optimal vertex and exactly
 //! feasible duals). The steps:
@@ -56,10 +61,9 @@
 //! harmlessly basic at zero after phase 1 with their artificial columns
 //! barred from re-entering.
 //!
-//! # Bounded-variable revised hybrid
+//! # Bounded-variable revised engine
 //!
-//! [`solve_revised`] upgrades the hybrid scheme along both axes named in
-//! the roadmap:
+//! The revised engine upgrades the hybrid scheme along both axes:
 //!
 //! * the `f64` search is the bounded **revised** simplex of
 //!   [`crate::bounds`]: implicit `[0, u]` variable bounds (plain `x ≤ const`
@@ -85,11 +89,13 @@
 //!   nonnegative). Together with complementary slackness — automatic from
 //!   the basis/glue structure — this certifies exact optimality.
 //!
-//! The contract matches [`solve_hybrid`]: **bit-identical status and
-//! objective** to the pure-rational [`solve`], with any unverifiable float
-//! outcome falling back to the exact dense solver. For problems with
-//! implicit bounds or VUBs, the dense solvers (and the fallback)
-//! materialize each as a trailing `≤` row via
+//! Unlike the dense hybrid, the revised engine never falls back itself:
+//! an answer it cannot certify — and any float claim of infeasibility or
+//! unboundedness — is a typed [`SolveFailure`], and the supervision
+//! ladder ([`crate::supervise`]) demotes to the dense engines. A certified
+//! answer has the **same status and objective** as the pure-rational
+//! [`solve`]. For problems with implicit bounds or VUBs, the dense
+//! engines materialize each as a trailing `≤` row via
 //! [`LpProblem::bounds_as_rows`]/[`LpProblem::vubs_as_rows`] and drop the
 //! extra duals, so every backend accepts every problem. Note that with
 //! implicit bounds strong duality reads
@@ -98,14 +104,14 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the tableau math
 
-use crate::bounds::{
-    solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus, StandardForm, VarState,
-};
+use crate::api::{LpReport, SolveOptions};
+use crate::bounds::{solve_bounded_f64_with, BoundedBasis, BoundedStatus, StandardForm, VarState};
 use crate::interval::Iv;
 use crate::lu::SparseLu;
 use crate::model::{Cmp, LpProblem};
 use crate::rational::Rat;
 use crate::scalar::Scalar;
+use crate::warm::BasisSnapshot;
 use abt_core::error::{BudgetKind, SolveFailure};
 use abt_core::faultinject;
 use std::time::Instant;
@@ -168,20 +174,6 @@ pub struct SolveStats {
     /// Solves whose interval sweep was inconclusive (straddling
     /// enclosures) and escalated to the exact reduced-cost sweep.
     pub interval_escalations: u64,
-}
-
-/// Result of [`solve_hybrid_report`]: the solution plus whether the exact
-/// fallback had to run.
-#[derive(Debug, Clone)]
-pub struct HybridReport {
-    /// The exact solution (same contract as [`solve`]).
-    pub solution: LpSolution<Rat>,
-    /// `true` iff the float-first pass could not be verified and the pure
-    /// exact simplex ran. Expected to be rare; tests assert specific
-    /// adversarial instances trip it.
-    pub fallback: bool,
-    /// Iteration/verification counters (see [`SolveStats`]).
-    pub stats: SolveStats,
 }
 
 /// Number of consecutive degenerate pivots tolerated before switching to
@@ -846,58 +838,46 @@ fn verify_basis(
     })
 }
 
-/// Float-first exact solve: runs the simplex in `f64`, re-verifies the
+/// The dense hybrid engine behind [`crate::api::solve_lp`]'s
+/// `DenseHybrid` backend: runs the simplex in `f64`, re-verifies the
 /// terminal basis in exact rationals, and falls back to the pure exact
 /// simplex when verification fails (see the module docs for the
 /// contract). Status and objective are always bit-identical to
 /// [`solve`]`::<Rat>`.
-#[deprecated(note = "use `solve_lp` with `SolverBackend::DenseHybrid`")]
-pub fn solve_hybrid(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
-    solve_hybrid_core(lp, CertifyMode::default()).solution
-}
-
-/// [`solve_hybrid`] plus whether the exact fallback ran (for tests and
-/// diagnostics).
-#[deprecated(note = "use `solve_lp` with `SolverBackend::DenseHybrid`")]
-pub fn solve_hybrid_report(lp: &LpProblem<Rat>) -> HybridReport {
-    solve_hybrid_core(lp, CertifyMode::default())
-}
-
-/// The dense hybrid engine behind [`solve_hybrid_report`] and
-/// [`crate::api::solve_lp`]'s `DenseHybrid` backend.
-pub(crate) fn solve_hybrid_core(lp: &LpProblem<Rat>, mode: CertifyMode) -> HybridReport {
+pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, mode: CertifyMode) -> LpReport {
     if lp.has_upper_bounds() || lp.has_vubs() {
         // The dense hybrid works on the row encoding; recurse on the
         // materialized problem and drop the bound/VUB rows' duals.
         let rows = lp.vubs_as_rows().bounds_as_rows();
-        let mut rep = solve_hybrid_core(&rows, mode);
+        let mut rep = dense_hybrid(&rows, mode);
         rep.solution.duals.truncate(lp.num_constraints());
         return rep;
     }
     let (fsol, fbasis) = solve_internal(&to_f64(lp));
+    let mut rep = LpReport {
+        solution: failure(LpStatus::Infeasible),
+        fallback: false,
+        warm_hit: false,
+        snapshot: None,
+        stats: SolveStats::default(),
+    };
     if fsol.status == LpStatus::Optimal {
         let certify = std::time::Instant::now();
         let mut tally = CertifyTally::default();
         if let Some(solution) = verify_basis(lp, &fbasis, mode, &mut tally) {
-            let mut stats = SolveStats::default();
-            apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-            return HybridReport {
-                solution,
-                fallback: false,
-                stats,
-            };
+            apply_certify(&mut rep.stats, certify.elapsed().as_nanos() as u64, &tally);
+            rep.solution = solution;
+            return rep;
         }
     }
-    HybridReport {
-        solution: solve(lp),
-        fallback: true,
-        stats: SolveStats::default(),
-    }
+    rep.solution = solve(lp);
+    rep.fallback = true;
+    rep
 }
 
 /// Tri-state outcome of the exact certifier ([`verify_bounded`]).
 #[derive(Debug)]
-pub(crate) enum Certified {
+enum Certified {
     /// Every exact check passed; the certified solution is attached.
     Verified(LpSolution<Rat>),
     /// Some exact check failed — the float proposal is singular, primal or
@@ -925,7 +905,7 @@ pub(crate) enum Certified {
 /// `mode` selects the certification tier policy (see [`CertifyMode`]);
 /// the returned [`CertifyTally`] records which tier discharged the dual
 /// sweep and how long the interval tier ran.
-pub(crate) fn verify_bounded(
+fn verify_bounded(
     lp: &LpProblem<Rat>,
     sf: &StandardForm<Rat>,
     prop: &BoundedBasis,
@@ -1367,18 +1347,6 @@ fn interval_dual_sweep(
     IvSweep::Proven
 }
 
-/// Bounded-variable revised hybrid solve: runs the bounded revised simplex
-/// of [`crate::bounds`] in `f64`, verifies the terminal basis exactly with
-/// a sparse rational LU, and falls back to the pure exact simplex (on the
-/// bound/VUB-materialized row encoding) when verification fails. Status
-/// and objective are always bit-identical to [`solve`]`::<Rat>`.
-#[deprecated(note = "use `solve_lp` with the default `LpOptions`")]
-pub fn solve_revised(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
-    solve_revised_core(lp, &RevisedOptions::default())
-        .0
-        .solution
-}
-
 /// Which certification tier(s) run on the terminal basis of a revised
 /// solve. Every mode ends in a *sound* certificate — the tiers differ
 /// only in how much of the proof is carried by outward-rounded `f64`
@@ -1405,18 +1373,18 @@ pub enum CertifyMode {
 /// Per-certification telemetry of one [`verify_bounded`] call: which tier
 /// discharged the dual sweep and how long the interval tier ran.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CertifyTally {
+struct CertifyTally {
     /// 1 iff the interval tier proved dual feasibility (no exact sweep).
-    pub(crate) interval_accepts: u64,
+    interval_accepts: u64,
     /// 1 iff the interval sweep was inconclusive and the solve escalated.
-    pub(crate) interval_escalations: u64,
+    interval_escalations: u64,
     /// Wall time inside the interval sweep, nanoseconds.
-    pub(crate) interval_nanos: u64,
+    interval_nanos: u64,
 }
 
 /// Folds a certification's total wall time and tier tally into the solve
-/// counters (shared by the cold, warm, and try paths).
-pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &CertifyTally) {
+/// counters (shared by the dense hybrid and the revised engine).
+fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &CertifyTally) {
     stats.certify_nanos = total_nanos;
     stats.certify_interval_nanos = tally.interval_nanos;
     stats.certify_exact_nanos = total_nanos.saturating_sub(tally.interval_nanos);
@@ -1424,129 +1392,17 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
     stats.interval_escalations = tally.interval_escalations;
 }
 
-/// Tuning knobs of [`solve_revised_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RevisedOptions {
-    /// Partial-pricing window of the float pass (see
-    /// [`BoundedOptions::pricing_window`]); `0` = full Dantzig pricing.
-    pub pricing: BoundedOptions,
-    /// Certification tier policy for the terminal basis. Default:
-    /// [`CertifyMode::IntervalThenExact`].
-    pub certify: CertifyMode,
-}
-
-/// [`solve_revised`] plus whether the exact fallback ran and the solve
-/// counters.
-#[deprecated(note = "use `solve_lp` with the default `LpOptions`")]
-pub fn solve_revised_report(lp: &LpProblem<Rat>) -> HybridReport {
-    solve_revised_core(lp, &RevisedOptions::default()).0
-}
-
-/// [`solve_revised_report`] with explicit [`RevisedOptions`].
-#[deprecated(note = "use `solve_lp` with `LpOptions::pricing`/`certify`")]
-pub fn solve_revised_with(lp: &LpProblem<Rat>, opts: &RevisedOptions) -> HybridReport {
-    solve_revised_core(lp, opts).0
-}
-
-/// The cold revised solve, additionally returning the float pass's
-/// verified terminal proposal (for [`crate::warm::BasisSnapshot`]
-/// extraction). The proposal is `Some` exactly when the solve completed
-/// without the exact fallback.
-pub(crate) fn solve_revised_core(
+/// The cold revised engine behind [`crate::api::solve_lp`]'s `Revised`
+/// backend: the bounded `f64` float pass, then exact certification of its
+/// terminal basis, with a snapshot of that basis for future warm starts.
+/// Every failure is typed (see [`crate::api::solve_lp`] for the mapping);
+/// an `Ok` is always the cheap certified path, never a dense fallback.
+pub(crate) fn revised_cold(
     lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> (HybridReport, Option<BoundedBasis>) {
-    solve_revised_core_with_sf(lp, opts, StandardForm::build(&to_f64(lp)))
-}
-
-/// [`solve_revised_core`] against a prebuilt `f64` standard form, so a
-/// caller that already constructed one (the warm driver) doesn't pay for
-/// it twice.
-pub(crate) fn solve_revised_core_with_sf(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-    sf64: StandardForm<f64>,
-) -> (HybridReport, Option<BoundedBasis>) {
-    let prop = solve_bounded_f64_with(&sf64, &opts.pricing);
-    let mut stats = SolveStats {
-        pivots: prop.pivots,
-        bound_flips: prop.bound_flips,
-        refactorizations: prop.refactorizations,
-        ..SolveStats::default()
-    };
-    if prop.status == BoundedStatus::Optimal {
-        let sfr = StandardForm::build(lp);
-        let certify = Instant::now();
-        // The legacy (non-`try_`) path certifies without a deadline: its
-        // callers have no error channel to surface a budget trip through,
-        // and silently treating one as a refutation would demote clean
-        // solves to the dense fallback.
-        let (verified, tally) = verify_bounded(lp, &sfr, &prop, None, opts.certify);
-        apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-        if let Certified::Verified(solution) = verified {
-            return (
-                HybridReport {
-                    solution,
-                    fallback: false,
-                    stats,
-                },
-                Some(prop),
-            );
-        }
-    }
-    (
-        HybridReport {
-            solution: solve(lp),
-            fallback: true,
-            stats,
-        },
-        None,
-    )
-}
-
-/// The fallible revised solve: like [`solve_revised_with`], but instead of
-/// silently falling back to the dense exact simplex on any float-pass
-/// failure it returns a typed [`SolveFailure`] and lets the **caller**
-/// decide what to run next. This is the rung interface of the supervision
-/// ladder in `abt-active`: each failure class maps to a distinct demotion.
-///
-/// * `Ok(report)` — the float pass finished and the terminal basis was
-///   certified exactly optimal (`report.fallback` is always `false` here).
-/// * `Err(BudgetExceeded(_))` — a pivot/refactorization/wall-time budget
-///   in `opts.pricing` tripped, in the float pass or the certifier. The
-///   wall-time budget is **per stage**: the float pass and the certifier
-///   each get a fresh clock of the same duration.
-/// * `Err(NumericalStall)` — the float pass stalled or claimed unbounded,
-///   or its terminal basis was exactly refuted; an exact backend must
-///   decide.
-/// * `Err(Infeasible)` — the *float* pass claims infeasibility. Tolerance
-///   pivoting cannot certify that claim, so callers must confirm with an
-///   exact backend before reporting infeasibility outward.
-///
-/// Unlike the legacy API this function never runs the dense fallback
-/// itself, so an `Ok` is always the cheap certified path.
-#[deprecated(note = "use `solve_lp` (the fallible core) with `SolverBackend::Revised`")]
-pub fn try_solve_revised_with(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> Result<HybridReport, SolveFailure> {
-    try_solve_revised_core(lp, opts).map(|(rep, _)| rep)
-}
-
-/// [`try_solve_revised_with`] additionally returning the verified terminal
-/// proposal for snapshot extraction (always `Some` on `Ok`).
-pub(crate) fn try_solve_revised_core(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> Result<(HybridReport, Option<BoundedBasis>), SolveFailure> {
+    opts: &SolveOptions,
+) -> Result<LpReport, SolveFailure> {
     let sf64 = StandardForm::build(&to_f64(lp));
     let prop = solve_bounded_f64_with(&sf64, &opts.pricing);
-    let mut stats = SolveStats {
-        pivots: prop.pivots,
-        bound_flips: prop.bound_flips,
-        refactorizations: prop.refactorizations,
-        ..SolveStats::default()
-    };
     match prop.status {
         BoundedStatus::Optimal => {}
         BoundedStatus::Budget(k) => return Err(SolveFailure::BudgetExceeded(k)),
@@ -1556,19 +1412,38 @@ pub(crate) fn try_solve_revised_core(
         }
     }
     let sfr = StandardForm::build(lp);
+    certify_proposal(lp, &sfr, &prop, opts, false)
+}
+
+/// Certifies an `Optimal` float proposal of the revised engine (cold or
+/// warm) and packages the verified answer with its counters and a
+/// snapshot of the basis. A refutation is a `NumericalStall`, a passed
+/// certifier deadline a `BudgetExceeded(Time)`.
+pub(crate) fn certify_proposal(
+    lp: &LpProblem<Rat>,
+    sfr: &StandardForm<Rat>,
+    prop: &BoundedBasis,
+    opts: &SolveOptions,
+    warm_hit: bool,
+) -> Result<LpReport, SolveFailure> {
+    let mut stats = SolveStats {
+        pivots: prop.pivots,
+        bound_flips: prop.bound_flips,
+        refactorizations: prop.refactorizations,
+        ..SolveStats::default()
+    };
     let certify = Instant::now();
     let (outcome, tally) =
-        verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), opts.certify);
+        verify_bounded(lp, sfr, prop, opts.pricing.stage_deadline(), opts.certify);
     apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
     match outcome {
-        Certified::Verified(solution) => Ok((
-            HybridReport {
-                solution,
-                fallback: false,
-                stats,
-            },
-            Some(prop),
-        )),
+        Certified::Verified(solution) => Ok(LpReport {
+            solution,
+            fallback: false,
+            warm_hit,
+            snapshot: BasisSnapshot::from_proposal(prop),
+            stats,
+        }),
         Certified::Refuted => Err(SolveFailure::NumericalStall),
         Certified::Deadline => Err(SolveFailure::BudgetExceeded(BudgetKind::Time)),
     }
@@ -1576,11 +1451,30 @@ pub(crate) fn try_solve_revised_core(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shimmed legacy names stay covered
-
     use super::*;
+    use crate::api::{solve_lp, SolverBackend};
+    use crate::bounds::BoundedOptions;
     use crate::model::{Cmp, LpProblem};
     use crate::rational::Rat;
+    use crate::supervise::supervised_solve;
+
+    /// The dense hybrid backend (never fails).
+    fn hybrid(lp: &LpProblem<Rat>) -> LpReport {
+        solve_lp(lp, &SolveOptions::new().backend(SolverBackend::DenseHybrid))
+            .expect("the dense hybrid never fails")
+    }
+
+    /// The revised backend on its own: a certified answer or a typed
+    /// failure.
+    fn revised(lp: &LpProblem<Rat>) -> Result<LpReport, SolveFailure> {
+        solve_lp(lp, &SolveOptions::new())
+    }
+
+    /// The shipping path: the revised backend down the supervision ladder,
+    /// which demotes every typed failure to the dense engines.
+    fn ladder(lp: &LpProblem<Rat>) -> LpReport {
+        supervised_solve(lp, &SolveOptions::new(), "lp.").expect("the dense rungs answer")
+    }
 
     fn r(p: i64, q: i64) -> Rat {
         Rat::new(p as i128, q as i128)
@@ -1720,9 +1614,9 @@ mod tests {
     // ---- hybrid-specific coverage -------------------------------------
 
     /// Runs both paths on `lp` and checks the hybrid contract.
-    fn assert_hybrid_matches(lp: &LpProblem<Rat>) -> HybridReport {
+    fn assert_hybrid_matches(lp: &LpProblem<Rat>) -> LpReport {
         let exact = solve(lp);
-        let rep = solve_hybrid_report(lp);
+        let rep = hybrid(lp);
         assert_eq!(rep.solution.status, exact.status);
         if exact.status == LpStatus::Optimal {
             assert_eq!(rep.solution.objective, exact.objective);
@@ -1806,7 +1700,7 @@ mod tests {
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = solve_hybrid_report(&lp);
+        let rep = hybrid(&lp);
         assert!(
             rep.fallback,
             "sub-epsilon cost gap must force the exact fallback"
@@ -1819,11 +1713,11 @@ mod tests {
 
     // ---- bounded revised hybrid coverage ------------------------------
 
-    /// Runs the dense exact path and the revised path on `lp` and checks
-    /// the shared contract.
-    fn assert_revised_matches(lp: &LpProblem<Rat>) -> HybridReport {
+    /// Runs the dense exact path and the revised path (down the ladder) on
+    /// `lp` and checks the shared contract.
+    fn assert_revised_matches(lp: &LpProblem<Rat>) -> LpReport {
         let exact = solve(lp);
-        let rep = solve_revised_report(lp);
+        let rep = ladder(lp);
         assert_eq!(rep.solution.status, exact.status);
         if exact.status == LpStatus::Optimal {
             assert_eq!(rep.solution.objective, exact.objective);
@@ -1900,9 +1794,9 @@ mod tests {
         for implicit in [false, true] {
             let lp = build(implicit);
             let dense = solve(&lp);
-            let hybrid = solve_hybrid(&lp);
-            let rep = solve_revised_report(&lp);
-            for sol in [&dense, &hybrid, &rep.solution] {
+            let hyb = hybrid(&lp).solution;
+            let rep = revised(&lp).expect("clean LP certifies on the revised engine");
+            for sol in [&dense, &hyb, &rep.solution] {
                 assert_eq!(sol.status, LpStatus::Optimal);
                 assert_eq!(sol.objective, r(-8, 1), "implicit={implicit}");
                 assert_eq!(sol.duals.len(), lp.num_constraints());
@@ -1921,7 +1815,7 @@ mod tests {
         let _y = lp.add_var(Rat::ZERO);
         lp.add_constraint(vec![(x, Rat::ONE), (_y, Rat::ONE)], Cmp::Le, r(10, 1));
         lp.set_upper(x, r(5, 1));
-        let rep = solve_revised_report(&lp);
+        let rep = revised(&lp).expect("bound-flip optimum must verify exactly");
         assert!(!rep.fallback, "bound-flip optimum must verify exactly");
         assert_eq!(rep.solution.status, LpStatus::Optimal);
         assert_eq!(rep.solution.objective, r(-5, 1));
@@ -1939,7 +1833,7 @@ mod tests {
         let y = lp.add_var(r(-1, 1));
         lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Le, r(4, 1));
         lp.set_upper(x, Rat::ONE);
-        let rep = solve_revised_report(&lp);
+        let rep = revised(&lp).expect("clean LP certifies on the revised engine");
         assert!(!rep.fallback);
         let sol = &rep.solution;
         assert_eq!(sol.objective, r(-6, 1)); // x=1, y=3
@@ -1955,6 +1849,7 @@ mod tests {
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.set_upper(x, Rat::ONE);
+        assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
         let rep = assert_revised_matches(&inf);
         assert!(rep.fallback, "non-Optimal float status must re-run exactly");
         assert_eq!(rep.solution.status, LpStatus::Infeasible);
@@ -1969,13 +1864,15 @@ mod tests {
     #[test]
     fn revised_falls_back_on_sub_epsilon_cost_gap() {
         // Same adversarial instance as the dense hybrid: costs that
-        // collide in f64 must be caught by the exact verification.
+        // collide in f64 must be caught by the exact verification, and the
+        // ladder must demote the refuted basis to an exact rung.
         let eps = Rat::new(1, 1i128 << 60);
         let mut lp: LpProblem<Rat> = LpProblem::new();
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = solve_revised_report(&lp);
+        assert_eq!(revised(&lp).unwrap_err(), SolveFailure::NumericalStall);
+        let rep = ladder(&lp);
         assert!(
             rep.fallback,
             "sub-epsilon cost gap must force the exact fallback"
@@ -1988,9 +1885,9 @@ mod tests {
 
     /// Runs the dense exact oracle (rows) against the revised solver on
     /// both encodings of the same VUB structure.
-    fn assert_vub_matches(vub_lp: &LpProblem<Rat>) -> HybridReport {
+    fn assert_vub_matches(vub_lp: &LpProblem<Rat>) -> LpReport {
         let oracle = solve(&vub_lp.vubs_as_rows());
-        let rep = solve_revised_report(vub_lp);
+        let rep = ladder(vub_lp);
         assert_eq!(rep.solution.status, oracle.status);
         if oracle.status == LpStatus::Optimal {
             assert_eq!(rep.solution.objective, oracle.objective);
@@ -2120,7 +2017,7 @@ mod tests {
         assert_eq!(rep.solution.status, LpStatus::Unbounded);
     }
 
-    // ---- fallible (try_) revised coverage -----------------------------
+    // ---- typed failures of the revised engine ---------------------------
 
     #[test]
     fn try_solve_certifies_clean_instances() {
@@ -2129,7 +2026,7 @@ mod tests {
         let y = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x, Rat::ONE), (y, r(2, 1))], Cmp::Ge, r(4, 1));
         lp.add_constraint(vec![(x, r(3, 1)), (y, Rat::ONE)], Cmp::Ge, r(6, 1));
-        let rep = try_solve_revised_with(&lp, &RevisedOptions::default()).expect("clean LP");
+        let rep = revised(&lp).expect("clean LP");
         assert!(!rep.fallback);
         assert_eq!(rep.solution.objective, r(14, 5));
         assert_eq!(rep.solution.objective, solve(&lp).objective);
@@ -2142,15 +2039,12 @@ mod tests {
         let y = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x, Rat::ONE), (y, r(2, 1))], Cmp::Ge, r(4, 1));
         lp.add_constraint(vec![(x, r(3, 1)), (y, Rat::ONE)], Cmp::Ge, r(6, 1));
-        let opts = RevisedOptions {
-            pricing: BoundedOptions {
-                pivot_budget: 1,
-                ..BoundedOptions::default()
-            },
-            ..RevisedOptions::default()
-        };
+        let opts = SolveOptions::new().pricing(BoundedOptions {
+            pivot_budget: 1,
+            ..BoundedOptions::default()
+        });
         assert_eq!(
-            try_solve_revised_with(&lp, &opts).unwrap_err(),
+            solve_lp(&lp, &opts).unwrap_err(),
             SolveFailure::BudgetExceeded(BudgetKind::Pivots)
         );
     }
@@ -2163,19 +2057,13 @@ mod tests {
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.set_upper(x, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&inf, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::Infeasible
-        );
+        assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
 
         // Unbounded claims demote to an exact backend as a stall.
         let mut unb: LpProblem<Rat> = LpProblem::new();
         let x = unb.add_var(r(-1, 1));
         unb.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&unb, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::NumericalStall
-        );
+        assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
 
         // An exactly-refuted terminal basis (the sub-epsilon cost gap) is
         // a numerical stall, not a silent dense fallback.
@@ -2184,10 +2072,7 @@ mod tests {
         let x0 = gap.add_var(Rat::ONE.add(&eps));
         let x1 = gap.add_var(Rat::ONE);
         gap.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&gap, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::NumericalStall
-        );
+        assert_eq!(revised(&gap).unwrap_err(), SolveFailure::NumericalStall);
     }
 
     #[test]
@@ -2197,7 +2082,7 @@ mod tests {
         let y = lp.add_var(r(2, 1));
         lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, r(3, 1));
         lp.bound_var(x, r(2, 1));
-        let sol = solve_hybrid(&lp);
+        let sol = hybrid(&lp).solution;
         assert_eq!(sol.status, LpStatus::Optimal);
         let mut by = Rat::ZERO;
         for (c, yv) in lp.constraints().iter().zip(&sol.duals) {

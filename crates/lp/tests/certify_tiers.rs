@@ -5,7 +5,7 @@
 //! drive the interval sweep to escalation rather than a wrong verdict.
 
 use abt_lp::{
-    solve, solve_lp, CertifyMode, Cmp, LpOptions, LpProblem, LpStatus, Rat, SolveFailure,
+    solve, solve_lp, CertifyMode, Cmp, LpProblem, LpStatus, Rat, SolveFailure, SolveOptions,
 };
 use proptest::prelude::*;
 
@@ -47,9 +47,9 @@ proptest! {
             vub_lp.set_upper(key, r(ub));
         }
         let oracle = solve(&row_lp);
-        let exact = solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::Exact));
+        let exact = solve_lp(&vub_lp, &SolveOptions::new().certify(CertifyMode::Exact));
         let tiered =
-            solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::IntervalThenExact));
+            solve_lp(&vub_lp, &SolveOptions::new().certify(CertifyMode::IntervalThenExact));
         match (&exact, &tiered) {
             (Ok(e), Ok(t)) => {
                 prop_assert_eq!(e.solution.status.clone(), oracle.status.clone());
@@ -78,7 +78,7 @@ proptest! {
         // inconclusive, but an accept must be bit-identical to Exact, and
         // a genuine failure (e.g. infeasibility) must match the other
         // tiers' verdict.
-        match solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::Interval)) {
+        match solve_lp(&vub_lp, &SolveOptions::new().certify(CertifyMode::Interval)) {
             Ok(iv) => {
                 let e = exact.as_ref().expect("exact agrees when interval accepts");
                 prop_assert_eq!(iv.solution.objective, e.solution.objective);
@@ -116,7 +116,7 @@ proptest! {
         for (i, &ub) in ubs.iter().enumerate().take(k) {
             lp.set_upper(i, r(ub));
         }
-        let Ok(cold) = solve_lp(&lp, &LpOptions::new()) else {
+        let Ok(cold) = solve_lp(&lp, &SolveOptions::new()) else {
             return Ok(()); // infeasible draws have no warm story
         };
         let Some(snap) = cold.snapshot.clone() else {
@@ -131,7 +131,7 @@ proptest! {
             CertifyMode::Interval,
             CertifyMode::IntervalThenExact,
         ] {
-            let opts = LpOptions::new()
+            let opts = SolveOptions::new()
                 .certify(mode)
                 .snapshots(&pool)
                 .warm_only(true);
@@ -188,7 +188,7 @@ fn straddle_lp(n: usize) -> LpProblem<Rat> {
 #[test]
 fn adversarial_tiny_gap_escalates_to_exact() {
     let lp = straddle_lp(24);
-    let exact = solve_lp(&lp, &LpOptions::new().certify(CertifyMode::Exact))
+    let exact = solve_lp(&lp, &SolveOptions::new().certify(CertifyMode::Exact))
         .expect("exact certification of the straddle instance");
     assert_eq!(exact.solution.status, LpStatus::Optimal);
     assert_eq!(exact.solution.objective, r(-1));
@@ -196,7 +196,7 @@ fn adversarial_tiny_gap_escalates_to_exact() {
 
     let tiered = solve_lp(
         &lp,
-        &LpOptions::new().certify(CertifyMode::IntervalThenExact),
+        &SolveOptions::new().certify(CertifyMode::IntervalThenExact),
     )
     .expect("escalation must rescue the tiered solve");
     assert_eq!(
@@ -216,7 +216,7 @@ fn adversarial_tiny_gap_escalates_to_exact() {
 #[test]
 fn adversarial_tiny_gap_refuses_under_interval_only() {
     let lp = straddle_lp(24);
-    match solve_lp(&lp, &LpOptions::new().certify(CertifyMode::Interval)) {
+    match solve_lp(&lp, &SolveOptions::new().certify(CertifyMode::Interval)) {
         Err(SolveFailure::NumericalStall) => {}
         other => panic!("interval-only mode must refuse the straddle instance, got {other:?}"),
     }
@@ -230,7 +230,7 @@ fn isolated_straddles_are_rescued_without_escalation() {
     let lp = straddle_lp(2);
     let rep = solve_lp(
         &lp,
-        &LpOptions::new().certify(CertifyMode::IntervalThenExact),
+        &SolveOptions::new().certify(CertifyMode::IntervalThenExact),
     )
     .expect("rescued interval certification");
     assert_eq!(rep.stats.interval_accepts, 1);

@@ -7,11 +7,18 @@
 //! process-global [`faultinject::exclusive`] guard.
 
 #![cfg(feature = "fault-injection")]
-#![allow(deprecated)] // the shimmed legacy solve names stay covered
 
 use abt_core::faultinject::{self, FaultSpec};
-use abt_lp::{solve, try_solve_revised_with, with_arena, Cmp, LpProblem, Rat, RevisedOptions};
+use abt_lp::{
+    solve, solve_lp, with_arena, Cmp, LpProblem, LpReport, Rat, SolveFailure, SolveOptions,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// One cold revised solve, outside the supervision ladder (so injected
+/// panics reach the caller).
+fn revised(lp: &LpProblem<Rat>) -> Result<LpReport, SolveFailure> {
+    solve_lp(lp, &SolveOptions::new())
+}
 
 fn r(p: i64, q: i64) -> Rat {
     Rat::new(p as i128, q as i128)
@@ -49,15 +56,13 @@ fn injected_pivot_panics_never_leak_arena_buffers() {
     // Warm the pool with clean solves so later checkouts can all be
     // served by recycled buffers.
     for k in 0..4 {
-        try_solve_revised_with(&instance(k), &RevisedOptions::default()).expect("clean solve");
+        revised(&instance(k)).expect("clean solve");
     }
     let before = with_arena(|a| a.stats());
     faultinject::configure("panic_in_pivot", FaultSpec::panic_every(1));
     for k in 0..1000 {
         let lp = instance(k % 7);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            try_solve_revised_with(&lp, &RevisedOptions::default())
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| revised(&lp)));
         assert!(caught.is_err(), "every:1 must panic every solve");
     }
     faultinject::reset();
@@ -77,7 +82,7 @@ fn injected_pivot_panics_never_leak_arena_buffers() {
     );
     // The pool still serves clean solves with the right answers.
     let lp = instance(1);
-    let rep = try_solve_revised_with(&lp, &RevisedOptions::default()).expect("post-fault solve");
+    let rep = revised(&lp).expect("post-fault solve");
     assert_eq!(rep.solution.objective, solve(&lp).objective);
 }
 
@@ -90,7 +95,7 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
     let _guard = faultinject::exclusive();
     let baselines: Vec<Rat> = (0..6)
         .map(|k| {
-            try_solve_revised_with(&instance(k), &RevisedOptions::default())
+            revised(&instance(k))
                 .expect("fault-free solve")
                 .solution
                 .objective
@@ -105,9 +110,7 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
     for round in 0..50 {
         for k in 0..6 {
             let lp = instance(k);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                try_solve_revised_with(&lp, &RevisedOptions::default())
-            }));
+            let caught = catch_unwind(AssertUnwindSafe(|| revised(&lp)));
             if let Ok(Ok(rep)) = caught {
                 assert_eq!(
                     rep.solution.objective, baselines[k as usize],
@@ -137,13 +140,13 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
 /// certifier's entry.
 #[test]
 fn slow_certify_trips_budget_inside_interval_tier() {
-    use abt_lp::{solve_lp, BoundedOptions, BudgetKind, CertifyMode, LpOptions, SolveFailure};
+    use abt_lp::{BoundedOptions, BudgetKind, CertifyMode};
     let _guard = faultinject::exclusive();
     let lp = instance(0);
     for mode in [CertifyMode::Interval, CertifyMode::IntervalThenExact] {
         // The nth trigger is per-configure: re-arm for each mode.
         faultinject::configure("slow_certify", FaultSpec::delay_nth(1, 30));
-        let opts = LpOptions::new()
+        let opts = SolveOptions::new()
             .pricing(BoundedOptions {
                 time_budget: Some(std::time::Duration::from_millis(5)),
                 ..BoundedOptions::default()
@@ -167,18 +170,15 @@ fn slow_certify_trips_budget_inside_interval_tier() {
 /// `BudgetExceeded(Time)` instead of a wrong verdict.
 #[test]
 fn slow_certify_with_time_budget_trips_typed() {
-    use abt_lp::{BoundedOptions, BudgetKind, SolveFailure};
+    use abt_lp::{BoundedOptions, BudgetKind};
     let _guard = faultinject::exclusive();
     faultinject::configure("slow_certify", FaultSpec::delay_nth(1, 30));
-    let opts = RevisedOptions {
-        pricing: BoundedOptions {
-            time_budget: Some(std::time::Duration::from_millis(5)),
-            ..BoundedOptions::default()
-        },
-        ..RevisedOptions::default()
-    };
+    let opts = SolveOptions::new().pricing(BoundedOptions {
+        time_budget: Some(std::time::Duration::from_millis(5)),
+        ..BoundedOptions::default()
+    });
     let lp = instance(0);
-    let out = try_solve_revised_with(&lp, &opts);
+    let out = solve_lp(&lp, &opts);
     faultinject::reset();
     // Either the float pass itself tripped the time budget first, or the
     // delayed certifier did; both are typed Time trips, never a wrong

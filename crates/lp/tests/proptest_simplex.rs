@@ -1,5 +1,4 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
-#![allow(deprecated)] // the shimmed legacy solve names stay covered
 
 //! Differential test: simplex vs brute-force vertex enumeration on small
 //! random LPs with exact rational arithmetic.
@@ -9,8 +8,28 @@
 //! constraints (rows of `A` or axes). The oracle enumerates all such
 //! intersections, filters the feasible ones, and takes the best objective.
 
-use abt_lp::{solve, solve_hybrid, solve_revised, Cmp, LpProblem, LpStatus, Rat};
+use abt_lp::{
+    solve, solve_lp, supervised_solve, Cmp, LpProblem, LpSolution, LpStatus, Rat, SolveOptions,
+    SolverBackend,
+};
 use proptest::prelude::*;
+
+/// The dense hybrid backend (never fails).
+fn dense_hybrid(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
+    let opts = SolveOptions::new().backend(SolverBackend::DenseHybrid);
+    solve_lp(lp, &opts)
+        .expect("the dense hybrid never fails")
+        .solution
+}
+
+/// The shipping path: the revised engine down the supervision ladder.
+/// Optimal answers come from the revised engine itself; only float claims
+/// of infeasibility or unboundedness demote to the dense rungs.
+fn ladder(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
+    supervised_solve(lp, &SolveOptions::new(), "lp.")
+        .expect("the dense rungs answer")
+        .solution
+}
 
 fn r(p: i64) -> Rat {
     Rat::from_int(p)
@@ -200,7 +219,7 @@ proptest! {
         // exactly optimal; duals exactly feasible with strong duality.
         let lp = build_boxed_lp(k, &rows, &costs);
         let exact = solve(&lp);
-        let hybrid = solve_hybrid(&lp);
+        let hybrid = dense_hybrid(&lp);
         prop_assert_eq!(hybrid.status.clone(), exact.status.clone());
         if exact.status == LpStatus::Optimal {
             prop_assert_eq!(hybrid.objective, exact.objective);
@@ -270,8 +289,8 @@ proptest! {
             vub_lp.set_upper(0, r(dep_cap)); // promoted to a row internally
         }
         let exact = solve(&row_lp);
-        let rev = solve_revised(&vub_lp);
-        let hyb = solve_hybrid(&vub_lp);
+        let rev = ladder(&vub_lp);
+        let hyb = dense_hybrid(&vub_lp);
         for sol in [&rev, &hyb] {
             prop_assert_eq!(sol.status.clone(), exact.status.clone());
             if exact.status == LpStatus::Optimal {
@@ -314,7 +333,7 @@ proptest! {
         }
         let exact = solve(&row_lp);
         for lp in [&row_lp, &bnd_lp] {
-            let rev = solve_revised(lp);
+            let rev = ladder(lp);
             prop_assert_eq!(rev.status.clone(), exact.status.clone());
             if exact.status == LpStatus::Optimal {
                 prop_assert_eq!(rev.objective, exact.objective);

@@ -114,12 +114,13 @@ use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::{horizon_slots, job_feasible_in_slot};
 use abt_core::obs::{
     self,
-    metrics::{Counter, Gauge, Histogram, HistogramSnapshot},
+    metrics::{Counter, Gauge},
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    supervised_solve, BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpSolution,
-    LpStatus, Rat, SolveOptions, SolverBackend, DEFAULT_PRICING_WINDOW,
+    ladder_metrics, supervised_solve, BasisSnapshot, BoundedOptions, CertifyMode, Cmp,
+    LadderMetrics, LpProblem, LpSolution, LpStatus, Rat, SolveOptions, SolverBackend,
+    DEFAULT_PRICING_WINDOW,
 };
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -268,44 +269,20 @@ impl LpOptions {
 /// Handles of the process-wide LP solve metrics, resolved once from the
 /// unified [`abt_core::obs::metrics`] registry (`lp.*` namespace). The
 /// per-solve counters and histograms (solves through demotions and
-/// latency) are recorded by the shared ladder ([`abt_lp::supervise`])
-/// under [`LP_METRICS`]; this crate records the rest. The
-/// [`lp_telemetry`] facade reads them all — the registry is the single
-/// source of truth, shared with the `abt trace` / `--metrics` exposition
-/// surfaces.
+/// latency) are the shared ladder's ([`abt_lp::supervise`], under
+/// [`LP_METRICS`]); this crate records the rest. The [`lp_telemetry`]
+/// view reads them all through these cached handles, without a registry
+/// lookup.
 struct LpMetrics {
-    /// Supervision-ladder solves (component sub-LPs plus the feasibility
-    /// oracle below).
-    solves: &'static Counter,
-    /// Solves that needed the exact fallback.
-    fallbacks: &'static Counter,
-    /// Basis-changing pivot count of the float passes.
-    pivots: &'static Counter,
-    /// Bound/VUB flip count of the float passes.
-    bound_flips: &'static Counter,
-    /// LU refactorization count of the float passes.
-    refactorizations: &'static Counter,
-    /// Exact-certification wall time, nanoseconds.
-    certify_nanos: &'static Counter,
-    /// Certification wall time spent in the directed-rounding interval
-    /// tier, nanoseconds (a subset of `certify_nanos`).
-    certify_interval_nanos: &'static Counter,
-    /// Certification wall time spent in the exact tier (factor, solves,
-    /// primal checks, and any exact dual sweeps), nanoseconds.
-    certify_exact_nanos: &'static Counter,
-    /// Solves whose dual-feasibility proof was discharged by the
-    /// interval tier alone.
-    interval_accepts: &'static Counter,
-    /// Solves whose interval sweep was inconclusive and escalated to (or
-    /// was refused pending) the exact sweep.
-    interval_escalations: &'static Counter,
+    /// The ladder's handles under [`LP_METRICS`] (solves through
+    /// `pivots_per_solve`, plus `quarantined`, which this crate records).
+    ladder: &'static LadderMetrics,
     /// LP1 solves that sharded into >1 component.
     sharded_solves: &'static Counter,
     /// Component sub-LPs solved by sharded solves.
     components: &'static Counter,
     /// High-water gauge of the largest component sub-LP's variable count
-    /// (sharded solves only). Open an exact max-over-window region with
-    /// [`component_vars_window`].
+    /// (sharded solves only).
     max_component_vars: &'static Gauge,
     /// Solves that were *offered* a warm-start snapshot (batched
     /// siblings and incremental re-solves).
@@ -315,13 +292,6 @@ struct LpMetrics {
     /// Pivots saved by warm hits, measured against each hit's cold
     /// reference, floored at zero per solve.
     warm_pivots_saved: &'static Counter,
-    /// Failure-driven ladder demotions (see [`crate::supervise`]).
-    demotions: &'static Counter,
-    /// Solve attempts that tripped a pivot / refactorization / wall-time
-    /// budget (each such trip is also a demotion).
-    budget_trips: &'static Counter,
-    /// Components quarantined after the whole ladder failed.
-    quarantined: &'static Counter,
     /// Cached component blocks and basis snapshots restored from a
     /// persisted state directory (warm capital carried across process
     /// restarts by `abt_active::store`).
@@ -339,70 +309,24 @@ struct LpMetrics {
     /// Solve requests bounced by admission control (the Hall-condition
     /// precheck) before touching the solver.
     admission_rejects: &'static Counter,
-    /// Wall-time latency of each supervised solve, microseconds
-    /// (log-bucket histogram; feeds the per-experiment p50/p90/p99
-    /// bench fields and the `--max-p99-ratio` perf gate).
-    solve_latency_us: &'static Histogram,
-    /// Pivot count of each solve (a *deterministic* distribution — used
-    /// by the determinism tests and effort diagnostics).
-    pivots_per_solve: &'static Histogram,
 }
 
 /// The `lp.*` metric handles (resolved on first use).
 fn met() -> &'static LpMetrics {
     static MET: OnceLock<LpMetrics> = OnceLock::new();
     MET.get_or_init(|| LpMetrics {
-        solves: obs::metrics::counter("lp.solves"),
-        fallbacks: obs::metrics::counter("lp.fallbacks"),
-        pivots: obs::metrics::counter("lp.pivots"),
-        bound_flips: obs::metrics::counter("lp.bound_flips"),
-        refactorizations: obs::metrics::counter("lp.refactorizations"),
-        certify_nanos: obs::metrics::counter("lp.certify_nanos"),
-        certify_interval_nanos: obs::metrics::counter("lp.certify_interval_nanos"),
-        certify_exact_nanos: obs::metrics::counter("lp.certify_exact_nanos"),
-        interval_accepts: obs::metrics::counter("lp.interval_accepts"),
-        interval_escalations: obs::metrics::counter("lp.interval_escalations"),
+        ladder: ladder_metrics(LP_METRICS),
         sharded_solves: obs::metrics::counter("lp.sharded_solves"),
         components: obs::metrics::counter("lp.components"),
         max_component_vars: obs::metrics::gauge("lp.max_component_vars"),
         warm_attempts: obs::metrics::counter("lp.warm_attempts"),
         warm_hits: obs::metrics::counter("lp.warm_hits"),
         warm_pivots_saved: obs::metrics::counter("lp.warm_pivots_saved"),
-        demotions: obs::metrics::counter("lp.demotions"),
-        budget_trips: obs::metrics::counter("lp.budget_trips"),
-        quarantined: obs::metrics::counter("lp.quarantined"),
         persist_restores: obs::metrics::counter("lp.persist_restores"),
         recoveries: obs::metrics::counter("lp.recoveries"),
         state_corrupt: obs::metrics::counter("lp.state_corrupt"),
         admission_rejects: obs::metrics::counter("lp.admission_rejects"),
-        solve_latency_us: obs::metrics::histogram("lp.solve_latency_us"),
-        pivots_per_solve: obs::metrics::histogram("lp.pivots_per_solve"),
     })
-}
-
-/// Opens an **exact** max-over-window region over the largest-component
-/// high-water gauge: the returned handle's `value()` is the largest
-/// component sub-LP variable count recorded while it is alive (0 when no
-/// sharded solve ran). This is the precise per-region reading that the
-/// snapshot-pair [`LpTelemetry::delta`] cannot provide (see its docs);
-/// the experiment harness opens one per experiment row.
-pub fn component_vars_window() -> abt_core::obs::metrics::HighWaterWindow {
-    met().max_component_vars.window()
-}
-
-/// Snapshot of the solve-latency histogram (microseconds per
-/// supervised solve). Bucket counts are cumulative and monotone:
-/// diff two snapshots with [`HistogramSnapshot::delta`] to scope
-/// deterministic p50/p90/p99 extraction to a region, as the experiment
-/// harness does per row.
-pub fn solve_latency_snapshot() -> HistogramSnapshot {
-    met().solve_latency_us.snapshot()
-}
-
-/// Snapshot of the pivots-per-solve histogram (a deterministic
-/// distribution: identical solves produce identical bucket counts).
-pub fn pivots_per_solve_snapshot() -> HistogramSnapshot {
-    met().pivots_per_solve.snapshot()
 }
 
 /// A snapshot of the process-wide LP solve telemetry (see
@@ -450,8 +374,8 @@ pub struct LpTelemetry {
     /// High-water mark of the largest component sub-LP's variable count
     /// across sharded solves. **Not** a monotone sum — see
     /// [`LpTelemetry::delta`] for the windowed semantics, and
-    /// [`component_vars_window`] for an exact max over an arbitrary
-    /// region.
+    /// [`abt_core::obs::metrics::window`] (`lp.max_component_vars_max`)
+    /// for an exact max over an arbitrary region.
     pub max_component_vars: u64,
     /// Number of strict raises of the `max_component_vars` high water
     /// (monotone). [`LpTelemetry::delta`] uses it to decide whether the
@@ -500,10 +424,10 @@ impl LpTelemetry {
     /// later snapshot's value *is* the exact in-window maximum — the
     /// record that set it happened inside the window — and is reported;
     /// when it did not, the delta reports 0 rather than carrying a stale
-    /// process-wide value forward (the historical wart). A window that
-    /// sharded only below an earlier high water therefore reads 0 here;
-    /// use [`component_vars_window`] when the exact in-window maximum of
-    /// such a region matters (the experiment harness does).
+    /// process-wide value forward. A window that sharded only below an
+    /// earlier high water therefore reads 0 here; use
+    /// [`abt_core::obs::metrics::window`] when the exact in-window maximum
+    /// of such a region matters (the experiment harness does).
     pub fn delta(&self, earlier: &LpTelemetry) -> LpTelemetry {
         LpTelemetry {
             solves: self.solves - earlier.solves,
@@ -544,17 +468,18 @@ impl LpTelemetry {
 /// fallback rate.
 pub fn lp_telemetry() -> LpTelemetry {
     let m = met();
+    let l = m.ladder;
     LpTelemetry {
-        solves: m.solves.get(),
-        fallbacks: m.fallbacks.get(),
-        pivots: m.pivots.get(),
-        bound_flips: m.bound_flips.get(),
-        refactorizations: m.refactorizations.get(),
-        certify_nanos: m.certify_nanos.get(),
-        certify_interval_nanos: m.certify_interval_nanos.get(),
-        certify_exact_nanos: m.certify_exact_nanos.get(),
-        interval_accepts: m.interval_accepts.get(),
-        interval_escalations: m.interval_escalations.get(),
+        solves: l.solves.get(),
+        fallbacks: l.fallbacks.get(),
+        pivots: l.pivots.get(),
+        bound_flips: l.bound_flips.get(),
+        refactorizations: l.refactorizations.get(),
+        certify_nanos: l.certify_nanos.get(),
+        certify_interval_nanos: l.certify_interval_nanos.get(),
+        certify_exact_nanos: l.certify_exact_nanos.get(),
+        interval_accepts: l.interval_accepts.get(),
+        interval_escalations: l.interval_escalations.get(),
         sharded_solves: m.sharded_solves.get(),
         components: m.components.get(),
         max_component_vars: m.max_component_vars.max(),
@@ -562,9 +487,9 @@ pub fn lp_telemetry() -> LpTelemetry {
         warm_attempts: m.warm_attempts.get(),
         warm_hits: m.warm_hits.get(),
         warm_pivots_saved: m.warm_pivots_saved.get(),
-        demotions: m.demotions.get(),
-        budget_trips: m.budget_trips.get(),
-        quarantined: m.quarantined.get(),
+        demotions: l.demotions.get(),
+        budget_trips: l.budget_trips.get(),
+        quarantined: l.quarantined.get(),
         persist_restores: m.persist_restores.get(),
         recoveries: m.recoveries.get(),
         state_corrupt: m.state_corrupt.get(),
@@ -575,7 +500,7 @@ pub fn lp_telemetry() -> LpTelemetry {
 /// Records one quarantined component (the whole ladder failed) and emits
 /// the `supervise.quarantine` flight-recorder event.
 pub(crate) fn record_quarantine() {
-    met().quarantined.inc();
+    met().ladder.quarantined.inc();
     obs::trace::event("supervise.quarantine", Vec::new);
 }
 
@@ -1461,7 +1386,7 @@ mod tests {
         // The registered window sees the exact in-window high-water mark
         // even when a concurrent test has already pushed the cumulative
         // gauge higher (the delta would then be 0 by design).
-        let window = component_vars_window();
+        let window = obs::metrics::gauge("lp.max_component_vars").window();
         assert_auto_matches_off(&inst);
         let d = lp_telemetry().delta(&before);
         assert!(d.sharded_solves >= 1, "the Auto solve must shard");

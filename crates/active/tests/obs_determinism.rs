@@ -9,7 +9,7 @@
 //! so the test owns the whole binary to keep the ring free of interleaved
 //! entries from unrelated tests.
 
-use abt_active::{pivots_per_solve_snapshot, solve_active_lp_with, LpOptions};
+use abt_active::{solve_active_lp_with, LpOptions};
 use abt_core::obs;
 use abt_core::Instance;
 
@@ -59,10 +59,11 @@ fn skeleton(entries: &[obs::TraceEntry]) -> Skeleton {
 #[test]
 fn identical_solves_trace_identically_and_tracing_never_perturbs_pivots() {
     let inst = striped_instance();
+    let pivots_per_solve = obs::histogram("lp.pivots_per_solve");
     let solve = || {
-        let before = pivots_per_solve_snapshot();
+        let before = pivots_per_solve.snapshot();
         let lp = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        (lp.objective, pivots_per_solve_snapshot().delta(&before))
+        (lp.objective, pivots_per_solve.snapshot().delta(&before))
     };
 
     // Baseline with tracing disarmed: the pivot distribution to beat.

@@ -3,52 +3,46 @@
 //!
 //! Usage: `experiments [--no-json] [--expect-demotions]
 //! [--trace-out PATH] [e1 e5 ...]` — no experiment ids runs everything.
+//! An unknown flag or experiment id prints the usage and exits 2 before
+//! anything runs.
 //! `--trace-out PATH` arms solve-pipeline tracing (`abt_core::obs`) and
 //! writes the flight-recorder JSONL dump to `PATH` when the run finishes.
 //! Unless `--no-json` is given, the run writes `BENCH_lp.json`
 //! (path overridable via the `BENCH_LP_PATH` environment variable) in the
-//! `abt-bench/lp-v2` schema (see [`abt_bench::bench_record`]): the wall
-//! time and LP telemetry (fallback rate plus pivot/flip/refactorization/
-//! certify counters and the decomposition sharding counters, with `e21`'s
-//! Auto-vs-Off speedup) of every experiment that ran — active-side
-//! (`abt_active::lp_telemetry`) and busy-side (`abt_busy::busy_lp_telemetry`)
-//! deltas merged per row, with `e24`/`e25` additionally carrying
-//! per-algorithm busy cost/ratio entries — plus a dedicated
-//! `lp_simplex` measurement — `solve_active_lp` on a
-//! `random_active_feasible` instance (n = 1000, g = 4) under the shipping
-//! solver (`vub_implicit`: the VUB-aware revised simplex, no cap rows at
-//! all) on the monolithic LP1, with its exact objective, wall time, and
-//! deterministic pivot and refactorization counts. CI's `perf-gate` job re-runs this
-//! record and compares it field-by-field against the committed file.
+//! `abt-bench/lp-v3` schema (see [`abt_bench::bench_record`]): for every
+//! experiment that ran, its wall time, its own headline numbers, and the
+//! [`abt_core::obs::metrics::window`] delta of every registered metric
+//! over its run — plus a dedicated `lp_simplex` measurement:
+//! `solve_active_lp` on a `random_active_feasible` instance (n = 1000,
+//! g = 4) under the shipping solver (`vub_implicit`: the VUB-aware revised
+//! simplex, no cap rows at all) on the monolithic LP1, with its exact
+//! objective, wall time, and deterministic pivot and refactorization
+//! counts. CI's `perf-gate` job re-runs this record and checks it against
+//! the committed file ([`abt_bench::gate`]).
 //!
 //! Under the `fault-injection` cargo feature, the run first seeds the
 //! failpoint registry from the `ABT_FAULTPOINTS` environment variable
 //! (see [`abt_core::faultinject`]), and `--expect-demotions` turns the run
 //! into a smoke assertion: it exits nonzero unless the supervision ladder
-//! recorded at least one demotion and **zero** quarantines — i.e. the
-//! injected faults actually fired and were all absorbed below the
-//! quarantine line, with every exact objective intact.
+//! recorded at least one demotion (any `*.demotions` metric) and **zero**
+//! quarantines (any `*.quarantined` metric) — i.e. the injected faults
+//! actually fired and were all absorbed below the quarantine line, with
+//! every exact objective intact.
 
-use abt_active::{
-    component_vars_window, lp_telemetry, solve_active_lp_with, solve_latency_snapshot,
-    DecomposeMode, LpOptions,
-};
-use abt_bench::bench_record::{
-    BenchRecord, BusyAlgoRecord, ExperimentRecord, LpSimplexRecord, SCHEMA,
-};
+use abt_active::{lp_telemetry, solve_active_lp_with, DecomposeMode, LpOptions};
+use abt_bench::bench_record::{BenchRecord, ExperimentRecord, LpSimplexRecord};
 use abt_bench::experiments;
 use abt_bench::time_best_ms;
-use abt_busy::{busy_lp_telemetry, busy_solve_latency_snapshot};
 use abt_core::obs;
 use abt_workloads::{random_active_feasible, RandomConfig};
 
-/// Sum of closed-span nanoseconds for `name` in a `span_rollups` listing.
-fn rollup_nanos(rollups: &[(String, u64, u64)], name: &str) -> u64 {
-    rollups
-        .iter()
-        .find(|(n, _, _)| n == name)
-        .map(|&(_, _, nanos)| nanos)
-        .unwrap_or(0)
+const USAGE: &str =
+    "usage: experiments [--no-json] [--expect-demotions] [--trace-out PATH] [e1 .. e25]";
+
+/// Prints `msg` and the usage, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// The headline measurement: the shipping solver (`vub_implicit` — the
@@ -93,7 +87,6 @@ fn lp_simplex_record() -> LpSimplexRecord {
 fn write_bench_json(experiments: Vec<ExperimentRecord>) {
     let path = std::env::var("BENCH_LP_PATH").unwrap_or_else(|_| "BENCH_lp.json".to_string());
     let record = BenchRecord {
-        schema: SCHEMA.to_string(),
         lp_simplex: lp_simplex_record(),
         experiments,
     };
@@ -124,34 +117,23 @@ fn main() {
             }));
         }
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let write_json = !args.iter().any(|a| a == "--no-json");
-    let expect_demotions = args.iter().any(|a| a == "--expect-demotions");
-    let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--trace-out requires a path argument");
-            std::process::exit(2);
-        })
-    });
-    if trace_out.is_some() {
-        obs::set_tracing(true);
+    let mut write_json = true;
+    let mut expect_demotions = false;
+    let mut trace_out = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--no-json" => write_json = false,
+            "--expect-demotions" => expect_demotions = true,
+            "--trace-out" => {
+                let path = args.next();
+                trace_out = Some(path.unwrap_or_else(|| usage_error("--trace-out needs a path")));
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            _ => selected.push(a),
+        }
     }
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--trace-out" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .collect();
-    let run_all = selected.is_empty();
     type ExperimentFn = fn() -> experiments::ExperimentReport;
     let fns: Vec<(&str, ExperimentFn)> = vec![
         ("e1", experiments::e1),
@@ -180,104 +162,45 @@ fn main() {
         ("e24", experiments::e24),
         ("e25", experiments::e25),
     ];
+    if let Some(id) = selected.iter().find(|s| !fns.iter().any(|(id, _)| id == s)) {
+        usage_error(&format!("unknown experiment id {id}; available: e1..e25"));
+    }
+    if trace_out.is_some() {
+        obs::set_tracing(true);
+    }
     let mut records: Vec<ExperimentRecord> = Vec::new();
     for (id, f) in fns {
-        if run_all || selected.contains(&id) {
-            let before = lp_telemetry();
-            let busy_before = busy_lp_telemetry();
-            // An exact in-experiment high-water mark for the component-vars
-            // gauge (the cumulative delta is 0 unless the mark was raised).
-            let vars_window = component_vars_window();
-            let lat_before = solve_latency_snapshot().merge(&busy_solve_latency_snapshot());
-            let rollups_before = obs::span_rollups();
+        if selected.is_empty() || selected.iter().any(|s| s == id) {
+            let window = obs::metrics::window();
             let started = std::time::Instant::now();
             let report = f();
             let elapsed = started.elapsed();
-            let d = lp_telemetry().delta(&before);
-            let lat = solve_latency_snapshot()
-                .merge(&busy_solve_latency_snapshot())
-                .delta(&lat_before);
-            let rollups = obs::span_rollups();
-            let phase_ms = |name: &str| {
-                rollup_nanos(&rollups, name).saturating_sub(rollup_nanos(&rollups_before, name))
-                    as f64
-                    / 1e6
-            };
-            // Busy-time LP solves keep their own counters (abt-busy cannot
-            // depend on abt-active); merge the two deltas so the fallback,
-            // quarantine, and `--expect-demotions` gates cover both sides.
-            let bd = busy_lp_telemetry().delta(&busy_before);
+            let metrics = window.close();
             println!("{}", report.to_markdown());
             println!("_(regenerated in {elapsed:.2?})_\n");
-            let solves = d.solves + bd.solves;
-            let fallback_rate = if solves == 0 {
-                0.0
-            } else {
-                (d.fallbacks + bd.fallbacks) as f64 / solves as f64
-            };
-            let headline_busy = report
-                .busy
-                .iter()
-                .find(|b| b.algo == "LpRounding")
-                .map(|b| (b.cost, b.ratio))
-                .unwrap_or((0, 0.0));
             records.push(ExperimentRecord {
                 id: id.to_string(),
                 wall_ms: elapsed.as_secs_f64() * 1e3,
-                lp_solves: solves,
-                fallback_rate,
-                lp_pivots: d.pivots + bd.pivots,
-                lp_bound_flips: d.bound_flips + bd.bound_flips,
-                lp_refactorizations: d.refactorizations + bd.refactorizations,
-                lp_certify_ms: (d.certify_nanos + bd.certify_nanos) as f64 / 1e6,
-                lp_components: d.components,
-                lp_max_component_vars: vars_window.value(),
-                warm_hits: d.warm_hits,
-                warm_pivots_saved: d.warm_pivots_saved,
-                demotions: d.demotions + bd.demotions,
-                budget_trips: d.budget_trips,
-                quarantined: d.quarantined + bd.quarantined,
-                interval_accepts: d.interval_accepts + bd.interval_accepts,
-                interval_escalations: d.interval_escalations + bd.interval_escalations,
-                persist_restores: d.persist_restores,
-                recoveries: d.recoveries,
-                state_corrupt: d.state_corrupt,
-                admission_rejects: d.admission_rejects,
-                lp_p50_ms: lat.percentile(0.50) as f64 / 1e3,
-                lp_p90_ms: lat.percentile(0.90) as f64 / 1e3,
-                lp_p99_ms: lat.percentile(0.99) as f64 / 1e3,
-                phase_decompose_ms: phase_ms("solve.decompose"),
-                phase_warm_ms: phase_ms("solve.warm"),
-                phase_pivot_ms: phase_ms("solve.pivot"),
-                phase_certify_ms: phase_ms("solve.certify"),
-                phase_stitch_ms: phase_ms("solve.stitch"),
                 speedup: report.speedup,
-                busy_cost: headline_busy.0,
-                busy_ratio: headline_busy.1,
-                busy_algos: report
-                    .busy
-                    .iter()
-                    .map(|b| BusyAlgoRecord {
-                        algo: b.algo.clone(),
-                        cost: b.cost,
-                        ratio: b.ratio,
-                    })
-                    .collect(),
+                busy_algos: report.busy,
+                metrics: metrics.into_iter().map(|(k, v)| (k, v as f64)).collect(),
             });
         }
     }
-    if records.is_empty() {
-        eprintln!("unknown experiment ids {selected:?}; available: e1..e25");
-        std::process::exit(2);
-    }
     if expect_demotions {
-        let demotions: u64 = records.iter().map(|r| r.demotions).sum();
-        let quarantined: u64 = records.iter().map(|r| r.quarantined).sum();
-        if demotions == 0 {
+        let total = |suffix: &str| -> f64 {
+            let named = records.iter().flat_map(|r| &r.metrics);
+            named
+                .filter(|(k, _)| k.ends_with(suffix))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        let (demotions, quarantined) = (total(".demotions"), total(".quarantined"));
+        if demotions == 0.0 {
             eprintln!("--expect-demotions: no supervision-ladder demotions recorded — the configured faults never fired");
             std::process::exit(1);
         }
-        if quarantined > 0 {
+        if quarantined > 0.0 {
             eprintln!("--expect-demotions: {quarantined} components quarantined — injected faults must demote, never quarantine");
             std::process::exit(1);
         }

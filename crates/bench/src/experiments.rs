@@ -4,6 +4,7 @@
 
 #![allow(clippy::type_complexity)] // ad-hoc closures over small stat tuples
 
+use crate::bench_record::BusyAlgoRecord;
 use crate::parallel::parallel_map;
 use crate::table::{ratio, Table};
 use abt_active::{
@@ -44,24 +45,9 @@ pub struct ExperimentReport {
     /// here); `None` for experiments without one.
     pub speedup: Option<f64>,
     /// Per-algorithm busy-time summaries, copied into the experiment's
-    /// `BENCH_lp.json` row (`busy_algos`; the `LpRounding` entry also
-    /// becomes the row's headline `busy_cost`/`busy_ratio`). Empty for
-    /// experiments without a gated busy sweep (everything but E24/E25).
-    pub busy: Vec<BusyAlgoSummary>,
-}
-
-/// One algorithm's aggregate over a busy experiment's instance families:
-/// total cost and the worst observed cost/lower-bound ratio. Costs are
-/// exact integers and the instance streams are seeded, so both values
-/// are bit-deterministic and `perf_gate` can compare them across runs.
-#[derive(Debug, Clone)]
-pub struct BusyAlgoSummary {
-    /// `IntervalAlgo::name()` of the algorithm.
-    pub algo: String,
-    /// Total busy time summed over every instance of the experiment.
-    pub cost: u64,
-    /// Max over instances of `cost / busy_lower_bounds(inst).best()`.
-    pub ratio: f64,
+    /// `BENCH_lp.json` row (`busy_algos`). Empty for experiments without a
+    /// gated busy sweep (everything but E24/E25).
+    pub busy: Vec<BusyAlgoRecord>,
 }
 
 impl ExperimentReport {
@@ -1493,9 +1479,7 @@ pub fn e20() -> ExperimentReport {
 /// Auto phase are deterministic per instance and gated by CI.
 pub fn e21() -> ExperimentReport {
     use crate::stats::time_best_ms;
-    use abt_active::{
-        component_vars_window, lp_telemetry, solve_active_lp_with, DecomposeMode, LpOptions,
-    };
+    use abt_active::{lp_telemetry, solve_active_lp_with, DecomposeMode, LpOptions};
     use abt_workloads::{many_components, ManyComponentsConfig};
 
     let grid: Vec<(usize, usize, usize)> = vec![
@@ -1527,7 +1511,7 @@ pub fn e21() -> ExperimentReport {
     let before = lp_telemetry();
     // The exact in-phase high water (the telemetry delta reads 0 when an
     // earlier experiment already sharded a larger component).
-    let vars_window = component_vars_window();
+    let vars_window = abt_core::obs::gauge("lp.max_component_vars").window();
     let auto_runs: Vec<_> = instances
         .iter()
         .map(|(_, reps, inst)| {
@@ -1961,8 +1945,8 @@ pub fn e23() -> ExperimentReport {
 
     let d = lp_telemetry().delta(&before);
     notes.push(format!(
-        "persist telemetry: {} restores, {} recoveries, {} corruption detections, {} admission rejects",
-        d.persist_restores, d.recoveries, d.state_corrupt, d.admission_rejects
+        "persist telemetry: {} restores, {} recoveries, {} corruption detections",
+        d.persist_restores, d.recoveries, d.state_corrupt
     ));
     notes.push(
         "every corruption detection is matched by a recovery (state_corrupt ≤ recoveries) — the perf gate fails otherwise".into(),
@@ -2107,7 +2091,7 @@ pub fn e24() -> ExperimentReport {
         id: "e24",
         busy: totals
             .into_iter()
-            .map(|(algo, cost, ratio)| BusyAlgoSummary { algo, cost, ratio })
+            .map(|(algo, cost, ratio)| BusyAlgoRecord { algo, cost, ratio })
             .collect(),
         speedup: None,
         title: "Busy head-to-head — LP rounding vs the combinatorial zoo vs exact".into(),
@@ -2195,7 +2179,7 @@ pub fn e25() -> ExperimentReport {
         id: "e25",
         busy: totals
             .into_iter()
-            .map(|(algo, cost, ratio)| BusyAlgoSummary { algo, cost, ratio })
+            .map(|(algo, cost, ratio)| BusyAlgoRecord { algo, cost, ratio })
             .collect(),
         speedup: None,
         title: "Busy g-sweep — cost and approximation ratio vs machine capacity".into(),

@@ -56,8 +56,8 @@ pub use greedy_tracking::{
 };
 pub use kumar_rudra::{kumar_rudra, kumar_rudra_run, KumarRudraRun};
 pub use lp_rounding::{
-    build_busy_lp, busy_lp_telemetry, busy_solve_latency_snapshot, lp_rounding_busy,
-    lp_rounding_run, solve_busy_lp, BusyLpModel, BusyLpTelemetry, LpRoundingRun,
+    build_busy_lp, busy_lp_telemetry, lp_rounding_busy, lp_rounding_run, solve_busy_lp,
+    BusyLpModel, BusyLpTelemetry, LpRoundingRun,
 };
 pub use maximization::{budgeted_exact, budgeted_greedy, BudgetedSchedule};
 pub use online::{online_first_fit, OnlineScheduler};

@@ -57,53 +57,28 @@
 
 use std::sync::OnceLock;
 
-use abt_core::obs::{self, metrics::Counter, metrics::Histogram};
+use abt_core::obs;
 use abt_core::{busy_lower_bounds, BusySchedule, DemandProfile, Error, Instance, Interval, Result};
-use abt_lp::{supervised_solve, Cmp, LpProblem, LpReport, Rat, SolveOptions, SolveStats};
+use abt_lp::{
+    ladder_metrics, supervised_solve, Cmp, LadderMetrics, LpProblem, LpReport, Rat, SolveOptions,
+    SolveStats,
+};
 
 use crate::kumar_rudra::level_band_pack;
 
 // ---------------------------------------------------------------------------
-// Telemetry: a view over the shared `abt_core::obs` metrics registry under
-// the `busy.lp.*` prefix, which the supervision ladder records into,
-// mirroring `abt_active::lp_telemetry` (abt-busy cannot depend on
-// abt-active, so the bench harness merges this delta into the experiment
-// record itself).
+// Telemetry: a typed view of the `busy.lp.*` metrics the supervision
+// ladder records, mirroring `abt_active::lp_telemetry`.
 // ---------------------------------------------------------------------------
 
 /// Metric prefix of the busy half's ladder solves.
 const BUSY_LP_METRICS: &str = "busy.lp.";
 
-/// Handles into the process-global registry for every busy-LP metric.
-struct BusyMetrics {
-    solves: &'static Counter,
-    fallbacks: &'static Counter,
-    pivots: &'static Counter,
-    bound_flips: &'static Counter,
-    refactorizations: &'static Counter,
-    certify_nanos: &'static Counter,
-    interval_accepts: &'static Counter,
-    interval_escalations: &'static Counter,
-    demotions: &'static Counter,
-    quarantined: &'static Counter,
-    solve_latency_us: &'static Histogram,
-}
-
-fn met() -> &'static BusyMetrics {
-    static MET: OnceLock<BusyMetrics> = OnceLock::new();
-    MET.get_or_init(|| BusyMetrics {
-        solves: obs::counter("busy.lp.solves"),
-        fallbacks: obs::counter("busy.lp.fallbacks"),
-        pivots: obs::counter("busy.lp.pivots"),
-        bound_flips: obs::counter("busy.lp.bound_flips"),
-        refactorizations: obs::counter("busy.lp.refactorizations"),
-        certify_nanos: obs::counter("busy.lp.certify_nanos"),
-        interval_accepts: obs::counter("busy.lp.interval_accepts"),
-        interval_escalations: obs::counter("busy.lp.interval_escalations"),
-        demotions: obs::counter("busy.lp.demotions"),
-        quarantined: obs::counter("busy.lp.quarantined"),
-        solve_latency_us: obs::histogram("busy.lp.solve_latency_us"),
-    })
+/// The ladder's handles under [`BUSY_LP_METRICS`] (resolved on first
+/// use).
+fn met() -> &'static LadderMetrics {
+    static MET: OnceLock<&'static LadderMetrics> = OnceLock::new();
+    MET.get_or_init(|| ladder_metrics(BUSY_LP_METRICS))
 }
 
 /// Snapshot of the cumulative busy-LP solve counters.
@@ -168,14 +143,6 @@ pub fn busy_lp_telemetry() -> BusyLpTelemetry {
         demotions: m.demotions.get(),
         quarantined: m.quarantined.get(),
     }
-}
-
-/// The `busy.lp.solve_latency_us` histogram, cumulative for this process.
-/// Snapshot before/after a region and [`delta`](
-/// abt_core::obs::HistogramSnapshot::delta) the pair for in-region
-/// percentiles.
-pub fn busy_solve_latency_snapshot() -> abt_core::obs::HistogramSnapshot {
-    met().solve_latency_us.snapshot()
 }
 
 // ---------------------------------------------------------------------------

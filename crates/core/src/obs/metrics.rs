@@ -10,9 +10,12 @@
 //! [`crate::parallel_map`] / [`crate::supervised_map`]: a delta across a
 //! parallel region equals the sum of the per-thread contributions.
 //!
-//! Telemetry facades elsewhere in the workspace (`lp_telemetry()` in
-//! `abt-active`, `busy_lp_telemetry()` in `abt-busy`) are thin views
-//! over these metrics — the registry is the single source of truth.
+//! The registry is the single source of truth. [`render`] prints every
+//! metric under its exposition names, and [`window`] scopes every metric
+//! to a region at once under the same names; `BENCH_lp.json` rows are
+//! such window deltas. The typed views elsewhere in the workspace
+//! (`lp_telemetry()` in `abt-active`, `busy_lp_telemetry()` in
+//! `abt-busy`) read cached handles of these metrics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -326,34 +329,136 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     got.unwrap_or_else(|| panic!("metric {name:?} is not a histogram"))
 }
 
+impl Metric {
+    /// The metric's cumulative reading.
+    fn read(&self) -> Reading {
+        match self {
+            Metric::Counter(c) => Reading::Counter(c.get()),
+            Metric::Gauge(g) => Reading::Gauge {
+                max: g.max(),
+                raises: g.raises(),
+            },
+            Metric::Histogram(h) => Reading::Histogram(Box::new(h.snapshot())),
+        }
+    }
+}
+
+/// One metric's value, cumulative or over a [`MetricsWindow`].
+enum Reading {
+    Counter(u64),
+    Gauge { max: u64, raises: u64 },
+    Histogram(Box<HistogramSnapshot>),
+}
+
+/// Flattens one reading into `(exposition name, value)` pairs: a counter
+/// under its own name, a gauge as `name_max` / `name_raises`, a histogram
+/// as `name_count` plus deterministic `name_p50` / `name_p90` /
+/// `name_p99` extractions. [`render`] and [`MetricsWindow::close`] both
+/// name values through here, so they cannot disagree on a name.
+fn flatten(name: &str, reading: &Reading, mut emit: impl FnMut(String, u64)) {
+    match reading {
+        Reading::Counter(v) => emit(name.to_string(), *v),
+        Reading::Gauge { max, raises } => {
+            emit(format!("{name}_max"), *max);
+            emit(format!("{name}_raises"), *raises);
+        }
+        Reading::Histogram(snap) => {
+            emit(format!("{name}_count"), snap.count());
+            for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+                emit(format!("{name}_{label}"), snap.percentile(q));
+            }
+        }
+    }
+}
+
 /// Renders every registered metric as `name value` lines (sorted by
-/// name): counters as their cumulative count, gauges as
-/// `name_max` / `name_raises`, histograms as `name_count` plus
-/// deterministic `name_p50` / `name_p90` / `name_p99` extractions. This
-/// is the plain-text exposition surface behind the CLI's `--metrics`
-/// flag.
+/// name), each metric flattened into its exposition names (see
+/// [`MetricsWindow::close`] for the naming rule). This is the plain-text
+/// exposition surface behind the CLI's `--metrics` flag.
 pub fn render() -> String {
     let reg = registry().lock().expect("metrics registry poisoned");
     let mut out = String::new();
     for (name, metric) in reg.iter() {
+        flatten(name, &metric.read(), |k, v| {
+            out.push_str(&format!("{k} {v}\n"));
+        });
+    }
+    out
+}
+
+/// An open region over every registered metric (see [`window`]).
+#[derive(Debug)]
+pub struct MetricsWindow {
+    counters: BTreeMap<&'static str, u64>,
+    /// Each gauge's exact in-window high water and its raise count at open.
+    gauges: BTreeMap<&'static str, (HighWaterWindow, u64)>,
+    histograms: BTreeMap<&'static str, HistogramSnapshot>,
+}
+
+/// Opens a region over every registered metric: snapshots each counter
+/// and histogram, and opens a [`HighWaterWindow`] on each gauge.
+/// [`MetricsWindow::close`] returns what the region recorded.
+pub fn window() -> MetricsWindow {
+    let reg = registry().lock().expect("metrics registry poisoned");
+    let mut w = MetricsWindow {
+        counters: BTreeMap::new(),
+        gauges: BTreeMap::new(),
+        histograms: BTreeMap::new(),
+    };
+    for (&name, metric) in reg.iter() {
         match metric {
             Metric::Counter(c) => {
-                out.push_str(&format!("{name} {}\n", c.get()));
+                w.counters.insert(name, c.get());
             }
             Metric::Gauge(g) => {
-                out.push_str(&format!("{name}_max {}\n", g.max()));
-                out.push_str(&format!("{name}_raises {}\n", g.raises()));
+                w.gauges.insert(name, (g.window(), g.raises()));
             }
             Metric::Histogram(h) => {
-                let snap = h.snapshot();
-                out.push_str(&format!("{name}_count {}\n", snap.count()));
-                for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-                    out.push_str(&format!("{name}_{label} {}\n", snap.percentile(q)));
-                }
+                w.histograms.insert(name, h.snapshot());
             }
         }
     }
-    out
+    w
+}
+
+impl MetricsWindow {
+    /// Closes the region and returns its delta, flattened under exactly
+    /// the names [`render`] prints: counters under their own names
+    /// (span rollups included, as `span.<name>.nanos` /
+    /// `span.<name>.count`), each gauge as `<gauge>_max` (the exact
+    /// in-window maximum) and `<gauge>_raises`, each histogram as
+    /// `<hist>_count`, `_p50`, `_p90` and `_p99` over the in-window
+    /// observations. A metric first registered inside the region counts
+    /// from zero, so a new gauge reads its cumulative max. Names whose
+    /// value is 0 are left out: an absent name reads as 0.
+    pub fn close(self) -> BTreeMap<String, u64> {
+        let reg = registry().lock().expect("metrics registry poisoned");
+        let mut out = BTreeMap::new();
+        for (&name, metric) in reg.iter() {
+            let reading = match metric.read() {
+                Reading::Counter(v) => {
+                    Reading::Counter(v - self.counters.get(name).copied().unwrap_or(0))
+                }
+                Reading::Gauge { max, raises } => match self.gauges.get(name) {
+                    Some((w, raises_at_open)) => Reading::Gauge {
+                        max: w.value(),
+                        raises: raises - raises_at_open,
+                    },
+                    None => Reading::Gauge { max, raises },
+                },
+                Reading::Histogram(now) => match self.histograms.get(name) {
+                    Some(at_open) => Reading::Histogram(Box::new(now.delta(at_open))),
+                    None => Reading::Histogram(now),
+                },
+            };
+            flatten(name, &reading, |k, v| {
+                if v != 0 {
+                    out.insert(k, v);
+                }
+            });
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -446,5 +551,54 @@ mod tests {
         assert_eq!(g.raises(), r0 + 1);
         g.record_max(11);
         assert_eq!(g.raises(), r0 + 2);
+    }
+
+    #[test]
+    fn windows_flatten_region_deltas_under_the_rendered_names() {
+        let c = counter("test.metrics.window.counter");
+        let g = gauge("test.metrics.window.gauge");
+        let h = histogram("test.metrics.window.hist");
+        c.add(5);
+        g.record_max(100);
+        h.record(1000);
+        let w = window();
+        c.add(3);
+        g.record_max(7);
+        h.record(2);
+        h.record(3);
+        let fresh = gauge("test.metrics.window.fresh_gauge");
+        fresh.record_max(42);
+        counter("test.metrics.window.untouched");
+        let d = w.close();
+        let get = |k: &str| d.get(k).copied();
+        assert_eq!(get("test.metrics.window.counter"), Some(3));
+        assert_eq!(
+            get("test.metrics.window.gauge_max"),
+            Some(7),
+            "exact in-window max"
+        );
+        assert_eq!(
+            get("test.metrics.window.gauge_raises"),
+            None,
+            "7 raised nothing"
+        );
+        assert_eq!(get("test.metrics.window.fresh_gauge_max"), Some(42));
+        assert_eq!(get("test.metrics.window.fresh_gauge_raises"), Some(1));
+        assert_eq!(get("test.metrics.window.hist_count"), Some(2));
+        assert_eq!(get("test.metrics.window.hist_p50"), Some(2));
+        assert_eq!(get("test.metrics.window.hist_p99"), Some(3));
+        assert_eq!(
+            get("test.metrics.window.untouched"),
+            None,
+            "zeros are left out"
+        );
+        // Every window name is one `render` prints.
+        let rendered: Vec<String> = render()
+            .lines()
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .collect();
+        for name in d.keys().filter(|k| k.starts_with("test.metrics.window.")) {
+            assert!(rendered.contains(name), "{name} is not rendered");
+        }
     }
 }

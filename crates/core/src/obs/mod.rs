@@ -8,11 +8,15 @@
 //!
 //! The three pieces compose into a single reporting path:
 //!
-//! * **Metrics** are the always-on truth. The legacy telemetry facades
-//!   (`abt_active::lp_telemetry`, `abt_busy::busy_lp_telemetry`, the
-//!   persistence counters) are views over registry counters/gauges, and
-//!   solve latencies land in histograms with deterministic
-//!   p50/p90/p99 extraction.
+//! * **Metrics** are the always-on truth and the one metrics schema.
+//!   Every metric flattens into named values (counters as-is, gauges as
+//!   `_max`/`_raises`, histograms as `_count` plus deterministic
+//!   `_p50`/`_p90`/`_p99`); [`metrics::render`] prints them for
+//!   `--metrics`, and [`metrics::window`] returns the same names scoped
+//!   to a region, which is what each `BENCH_lp.json` row records. The
+//!   typed views (`abt_active::lp_telemetry`,
+//!   `abt_busy::busy_lp_telemetry`) read cached handles of the same
+//!   counters.
 //! * **Spans** time the pipeline phases (`solve.decompose` →
 //!   `solve.warm` → `solve.pivot` → `solve.certify` → `solve.stitch`,
 //!   with `solve.component` wrapping each supervised component solve).
@@ -32,6 +36,8 @@ pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
-pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{
+    counter, gauge, histogram, window, Counter, Gauge, Histogram, HistogramSnapshot, MetricsWindow,
+};
 pub use recorder::{dump_jsonl, dump_to_file, validate_jsonl, DumpSummary, TraceEntry};
 pub use trace::{event, set_tracing, span, span_rollups, span_with, tracing_enabled, Span};

@@ -90,5 +90,5 @@ pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
 pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
-pub use supervise::supervised_solve;
+pub use supervise::{ladder_metrics, supervised_solve, LadderMetrics};
 pub use warm::BasisSnapshot;

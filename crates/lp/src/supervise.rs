@@ -15,9 +15,11 @@
 //!    demotes.
 //! 2. **Cold revised** — the `Revised` backend's first rung without
 //!    snapshots: the bounded revised simplex with budgets armed. A
-//!    float-level `Infeasible` claim drops through silently (confirming it
-//!    is the exact tier's job); panics, budget trips, and numerical stalls
-//!    demote.
+//!    float-level `Infeasible` claim goes straight to dense exact without
+//!    demoting: confirming it is the exact tier's job, and the dense
+//!    hybrid's float pass can only certify an optimum, so on an
+//!    infeasible LP it would end in the same exact solve. Panics, budget
+//!    trips, and numerical stalls demote to the dense hybrid.
 //! 3. **Dense hybrid** (`SolverBackend::DenseHybrid`, also its first
 //!    rung) — dense float search with exact certification and its own
 //!    internal exact fallback.
@@ -46,7 +48,10 @@
 //! clocks `certify_nanos` / `certify_interval_nanos` /
 //! `certify_exact_nanos`, `interval_accepts` / `interval_escalations`,
 //! the `solve_latency_us` and `pivots_per_solve` histograms, and the
-//! failure-driven `demotions` and `budget_trips`. Every call opens a
+//! failure-driven `demotions` and `budget_trips`. The caller records
+//! `quarantined` itself when it abandons a work item. [`ladder_metrics`]
+//! hands out the resolved handles per prefix, so typed views read them
+//! without a registry lookup. Every call opens a
 //! `solve.component` span (fields `vars`, `metrics`, and the winning
 //! `rung`), and every demotion emits a `supervise.demotion` event with the
 //! failure and both rung names.
@@ -74,26 +79,49 @@ use std::time::Instant;
 /// `supervise.demotion` events and the `rung` field of the span).
 const RUNGS: [&str; 4] = ["warm", "cold revised", "dense hybrid", "dense exact"];
 
-/// The ladder's metric handles under one prefix.
-struct LadderMetrics {
-    solves: &'static Counter,
-    fallbacks: &'static Counter,
-    pivots: &'static Counter,
-    bound_flips: &'static Counter,
-    refactorizations: &'static Counter,
-    certify_nanos: &'static Counter,
-    certify_interval_nanos: &'static Counter,
-    certify_exact_nanos: &'static Counter,
-    interval_accepts: &'static Counter,
-    interval_escalations: &'static Counter,
-    demotions: &'static Counter,
-    budget_trips: &'static Counter,
-    solve_latency_us: &'static Histogram,
-    pivots_per_solve: &'static Histogram,
+/// The ladder's metric handles under one prefix (see the module docs).
+#[derive(Debug)]
+pub struct LadderMetrics {
+    /// Certified solves, one per successful [`supervised_solve`] call.
+    pub solves: &'static Counter,
+    /// Solves whose winning rung reported [`LpReport::fallback`].
+    pub fallbacks: &'static Counter,
+    /// Basis-changing pivots of the winning rung's float pass.
+    pub pivots: &'static Counter,
+    /// Bound/VUB flips (no basis change).
+    pub bound_flips: &'static Counter,
+    /// LU refactorizations.
+    pub refactorizations: &'static Counter,
+    /// Certification wall time, nanoseconds.
+    pub certify_nanos: &'static Counter,
+    /// Certification time in the directed-rounding interval tier,
+    /// nanoseconds (a subset of `certify_nanos`).
+    pub certify_interval_nanos: &'static Counter,
+    /// Certification time in the exact tier, nanoseconds.
+    pub certify_exact_nanos: &'static Counter,
+    /// Solves whose dual-feasibility proof the interval tier discharged
+    /// alone.
+    pub interval_accepts: &'static Counter,
+    /// Solves whose interval sweep was inconclusive and escalated.
+    pub interval_escalations: &'static Counter,
+    /// Failure-driven demotions from one rung to the next.
+    pub demotions: &'static Counter,
+    /// Demotions caused by a tripped pivot/refactorization/wall-time
+    /// budget (a subset of `demotions`).
+    pub budget_trips: &'static Counter,
+    /// Work items the caller abandoned after the whole ladder failed
+    /// (recorded by the caller, not the ladder).
+    pub quarantined: &'static Counter,
+    /// Wall time of each successful call, microseconds.
+    pub solve_latency_us: &'static Histogram,
+    /// Pivot count of each successful call (a deterministic
+    /// distribution).
+    pub pivots_per_solve: &'static Histogram,
 }
 
-/// Resolves (once per prefix) the ladder's metric handles under `prefix`.
-fn ladder_metrics(prefix: &'static str) -> &'static LadderMetrics {
+/// The ladder's metric handles under `prefix`, resolved once per prefix.
+/// Callers that read them on a hot path cache the returned reference.
+pub fn ladder_metrics(prefix: &'static str) -> &'static LadderMetrics {
     static RESOLVED: Mutex<Vec<(&'static str, &'static LadderMetrics)>> = Mutex::new(Vec::new());
     // A poisoned lock still guards a valid list: its only update is one
     // `push` of a fully built entry.
@@ -117,6 +145,7 @@ fn ladder_metrics(prefix: &'static str) -> &'static LadderMetrics {
         interval_escalations: counter("interval_escalations"),
         demotions: counter("demotions"),
         budget_trips: counter("budget_trips"),
+        quarantined: counter("quarantined"),
         solve_latency_us: obs::metrics::histogram(name("solve_latency_us")),
         pivots_per_solve: obs::metrics::histogram(name("pivots_per_solve")),
     }));
@@ -171,14 +200,28 @@ pub fn supervised_solve(
         metrics = metrics_prefix
     );
     let started = Instant::now();
-    let first = match opts.backend {
+    let (rep, rung) = climb(lp, opts, met)?;
+    met.record_solve(&rep, started);
+    span.field("rung", rung);
+    Ok(rep)
+}
+
+/// The rungs of [`supervised_solve`]: the first certified report and the
+/// name of the rung that produced it, or the root-cause failure.
+fn climb(
+    lp: &LpProblem<Rat>,
+    opts: &SolveOptions,
+    met: &LadderMetrics,
+) -> Result<(LpReport, &'static str), SolveFailure> {
+    let mut rung = match opts.backend {
         SolverBackend::Revised if !opts.snapshots.is_empty() => 0,
         SolverBackend::Revised => 1,
         SolverBackend::DenseHybrid => 2,
         SolverBackend::DenseExact => 3,
     };
     let mut first_failure: Option<SolveFailure> = None;
-    for (rung, &name) in RUNGS.iter().enumerate().skip(first) {
+    loop {
+        let name = RUNGS[rung];
         let rung_opts = match rung {
             0 => opts.warm_only(true),
             1 => opts.snapshots(&[]).warm_only(false),
@@ -186,16 +229,19 @@ pub fn supervised_solve(
             _ => opts.backend(SolverBackend::DenseExact),
         };
         let failure = match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &rung_opts))) {
-            Ok(Ok(rep)) => {
-                met.record_solve(&rep, started);
-                span.field("rung", name);
-                return Ok(rep);
-            }
+            Ok(Ok(rep)) => return Ok((rep, name)),
             // A pool miss is a routine cache outcome, and a float-level
-            // infeasibility claim needs exact confirmation — the next
-            // rung's job. Neither is a fault.
-            Ok(Err(SolveFailure::ShapeDrift)) if rung == 0 => continue,
-            Ok(Err(SolveFailure::Infeasible)) if rung == 1 => continue,
+            // infeasibility claim needs exact confirmation, which only
+            // dense exact gives (the dense hybrid would end in the same
+            // exact solve). Neither is a fault.
+            Ok(Err(SolveFailure::ShapeDrift)) if rung == 0 => {
+                rung = 1;
+                continue;
+            }
+            Ok(Err(SolveFailure::Infeasible)) if rung == 1 => {
+                rung = 3;
+                continue;
+            }
             Ok(Err(f)) => f,
             Err(p) => SolveFailure::Panicked(panic_message(p.as_ref())),
         };
@@ -214,8 +260,8 @@ pub fn supervised_solve(
             ]
         });
         first_failure.get_or_insert(failure);
+        rung += 1;
     }
-    unreachable!("the dense exact rung always returns")
 }
 
 #[cfg(test)]
@@ -306,7 +352,7 @@ mod tests {
         .unwrap();
         assert!(!rep.warm_hit);
         assert_eq!(rep.solution.objective, solve(&lp).objective);
-        // A float infeasibility claim, confirmed exactly by a dense rung.
+        // A float infeasibility claim, confirmed exactly.
         let mut inf: LpProblem<Rat> = LpProblem::new();
         let x = inf.add_var(Rat::ONE);
         inf.set_upper(x, Rat::ONE);
@@ -317,6 +363,15 @@ mod tests {
         );
         let rep = supervised_solve(&inf, &SolveOptions::new(), "test.ladder.miss.").unwrap();
         assert_eq!(rep.solution.status, LpStatus::Infeasible);
+        assert!(rep.fallback);
+        // The claim skips the dense hybrid: dense exact confirms it.
+        let (_, rung) = climb(
+            &inf,
+            &SolveOptions::new(),
+            ladder_metrics("test.ladder.miss."),
+        )
+        .unwrap();
+        assert_eq!(rung, "dense exact");
         assert_eq!(count("test.ladder.miss.demotions"), 0);
         assert_eq!(count("test.ladder.miss.solves"), 2);
     }

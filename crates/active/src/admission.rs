@@ -186,16 +186,22 @@ impl MaxTree {
 /// a witness interval proving it infeasible. Never rejects a feasible
 /// instance.
 pub fn admission_precheck(inst: &Instance) -> Result<(), AdmissionReject> {
-    if inst.is_empty() {
+    precheck_jobs(inst, (0..inst.len()).collect())
+}
+
+/// [`admission_precheck`] restricted to the jobs `jobs` of `inst` (any
+/// order): the interval load condition of the sub-instance they form.
+pub(crate) fn precheck_jobs(inst: &Instance, jobs: Vec<usize>) -> Result<(), AdmissionReject> {
+    if jobs.is_empty() {
         return Ok(());
     }
     let g = inst.g() as i128;
     // Distinct releases ascending: the candidate left endpoints `a`.
-    let mut releases: Vec<Time> = inst.jobs().iter().map(|j| j.release).collect();
+    let mut releases: Vec<Time> = jobs.iter().map(|&j| inst.job(j).release).collect();
     releases.sort_unstable();
     releases.dedup();
     // Jobs grouped by deadline ascending: the sweep order of `b`.
-    let mut by_deadline: Vec<usize> = (0..inst.len()).collect();
+    let mut by_deadline = jobs;
     by_deadline.sort_unstable_by_key(|&j| inst.job(j).deadline);
     let leaves: Vec<i128> = releases.iter().map(|&a| g * a as i128).collect();
     let mut tree = MaxTree::new(&leaves);

@@ -43,16 +43,15 @@
 //! [`IncrementalReport`] carries the per-solve breakdown (components
 //! reused / warm-hit / cold-solved).
 
-use crate::admission::admission_precheck;
+use crate::admission::precheck_jobs;
 use crate::lp_model::{
-    build_component_lp, component_signature, components, disaggregate, lp_telemetry,
-    record_admission_reject, record_quarantine, record_recovery, record_state_corrupt,
-    record_warm_attempt, slot_runs, solve_options, ActiveLp, ComponentSignature, DecomposeMode,
-    LpOptions, LP_METRICS, SNAPSHOT_POOL_CAP,
+    build_component_lp, component_signature, components, lp_telemetry, record_admission_reject,
+    record_quarantine, record_recovery, record_state_corrupt, record_warm_attempt, slot_runs,
+    solve_options, ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, LP_METRICS,
+    SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::horizon_slots;
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
 use abt_lp::{supervised_solve, BasisSnapshot, LpStatus, Rat};
@@ -359,21 +358,42 @@ impl IncrementalSolver {
             self.quarantine.clear();
         }
         let inst = self.instance().map_err(SolveError::Model)?;
+        let runs = slot_runs(&inst, self.opts.coalesce);
+        let comps = components(&inst, &runs, DecomposeMode::Auto);
+        let mut y_runs = vec![Rat::ZERO; runs.len()];
+        let mut objective = Rat::ZERO;
+        let mut healthy: Vec<(usize, Rat)> = Vec::new();
+        let mut reused = 0;
+        // Clean components (content key cached with a matching run count)
+        // reuse their blocks verbatim; the rest are dirty.
+        let mut dirty: Vec<(usize, ContentKey)> = Vec::new();
+        for (ci, comp) in comps.iter().enumerate() {
+            let key = content_key(&inst, comp);
+            match self.content_cache.get(&key) {
+                Some(block) if block.y_runs.len() == comp.run_hi - comp.run_lo => {
+                    reused += 1;
+                    y_runs[comp.run_lo..comp.run_hi].copy_from_slice(&block.y_runs);
+                    objective = objective.add(&block.objective);
+                    healthy.push((ci, block.objective));
+                }
+                _ => dirty.push((ci, key)),
+            }
+        }
         // Admission control: the Hall-condition precheck bounces
         // provably-infeasible job sets before any LP is built, leaving
-        // every cache untouched (see [`crate::admission`]).
-        if let Err(rej) = admission_precheck(&inst) {
-            record_admission_reject();
-            return Err(SolveError::Rejected(rej));
+        // every cache untouched (see [`crate::admission`]). Only dirty
+        // components are checked: component spans are disjoint, so a
+        // violated interval implies one inside a single component, and a
+        // clean component's cached block was LP1-optimal, hence admissible.
+        for &(ci, _) in &dirty {
+            if let Err(rej) = precheck_jobs(&inst, comps[ci].jobs.clone()) {
+                record_admission_reject();
+                return Err(SolveError::Rejected(rej));
+            }
         }
-        let slots = horizon_slots(&inst);
         if inst.is_empty() {
             return Ok(IncrementalReport {
-                lp: ActiveLp {
-                    slots,
-                    y: Vec::new(),
-                    objective: Rat::ZERO,
-                },
+                lp: ActiveLp::from_runs(Vec::new(), Vec::new(), Rat::ZERO),
                 components: 0,
                 reused: 0,
                 warm_attempts: 0,
@@ -381,51 +401,28 @@ impl IncrementalSolver {
                 cold_solves: 0,
             });
         }
-        let runs = slot_runs(&inst, self.opts.coalesce);
-        let comps = components(&inst, &runs, DecomposeMode::Auto);
         let sopts = solve_options(&self.opts);
-        let mut y_runs = vec![Rat::ZERO; runs.len()];
-        let mut objective = Rat::ZERO;
-        let mut healthy: Vec<(usize, Rat)> = Vec::new();
         let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
         let mut live_quarantine: Vec<ContentKey> = Vec::new();
         let mut report = IncrementalReport {
-            lp: ActiveLp {
-                slots: Vec::new(),
-                y: Vec::new(),
-                objective: Rat::ZERO,
-            },
+            lp: ActiveLp::from_runs(Vec::new(), Vec::new(), Rat::ZERO),
             components: comps.len(),
-            reused: 0,
+            reused,
             warm_attempts: 0,
             warm_hits: 0,
             cold_solves: 0,
         };
-        for (ci, comp) in comps.iter().enumerate() {
+        for (ci, ckey) in dirty {
+            let comp = &comps[ci];
             let n_runs = comp.run_hi - comp.run_lo;
-            let ckey = content_key(&inst, comp);
-            match self.content_cache.get(&ckey) {
-                Some(block) if block.y_runs.len() == n_runs => {
-                    report.reused += 1;
-                    for (k, val) in block.y_runs.iter().enumerate() {
-                        y_runs[comp.run_lo + k] = *val;
-                    }
-                    objective = objective.add(&block.objective);
-                    healthy.push((ci, block.objective));
-                    continue;
-                }
-                Some(_) => {
-                    // A block whose run count disagrees with its key can
-                    // only come from drifted persisted state (in-memory
-                    // inserts always match): reject-don't-trust — drop it
-                    // and fall through to a cold re-solve of the
-                    // component. Exactness is unharmed; only the cache
-                    // hit is lost.
-                    record_state_corrupt();
-                    record_recovery();
-                    self.content_cache.remove(&ckey);
-                }
-                None => {}
+            if self.content_cache.remove(&ckey).is_some() {
+                // A block whose run count disagrees with its key can
+                // only come from drifted persisted state (in-memory
+                // inserts always match): reject-don't-trust — drop it
+                // and fall through to a cold re-solve of the component.
+                // Exactness is unharmed; only the cache hit is lost.
+                record_state_corrupt();
+                record_recovery();
             }
             // A quarantined key is not retried: the ladder already failed
             // for this exact content, and re-admission is content-driven.
@@ -482,9 +479,7 @@ impl IncrementalSolver {
                 y_runs: sol.x[..n_runs].to_vec(),
                 objective: sol.objective,
             };
-            for (k, val) in block.y_runs.iter().enumerate() {
-                y_runs[comp.run_lo + k] = *val;
-            }
+            y_runs[comp.run_lo..comp.run_hi].copy_from_slice(&block.y_runs);
             objective = objective.add(&block.objective);
             healthy.push((ci, block.objective));
             self.content_cache.insert(ckey, block);
@@ -519,6 +514,7 @@ impl IncrementalSolver {
             self.checkpoint_now();
         }
         if !quarantined.is_empty() {
+            healthy.sort_unstable_by_key(|&(ci, _)| ci);
             // Healthy blocks (including the ones just solved) stay cached,
             // so the solver keeps serving them on every later call.
             return Err(SolveError::Partial(PartialSolve {
@@ -527,12 +523,7 @@ impl IncrementalSolver {
                 quarantined,
             }));
         }
-        report.lp = ActiveLp {
-            y: disaggregate(&runs, &y_runs),
-            slots,
-            objective,
-        };
-        debug_assert_eq!(report.lp.y.len(), report.lp.slots.len());
+        report.lp = ActiveLp::from_runs(runs, y_runs, objective);
         Ok(report)
     }
 
@@ -544,7 +535,7 @@ impl IncrementalSolver {
 }
 
 /// The translation-invariant [`ContentKey`] of a component.
-fn content_key(inst: &Instance, comp: &crate::lp_model::Component) -> ContentKey {
+fn content_key(inst: &Instance, comp: &Component) -> ContentKey {
     let base = comp
         .jobs
         .iter()

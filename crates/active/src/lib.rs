@@ -72,11 +72,12 @@ pub mod unit;
 pub use abt_lp::{CertifyMode, SolverBackend};
 pub use admission::{admission_precheck, AdmissionReject};
 pub use exact::{exact_active_time, ExactActive};
-pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker};
+pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker, SlotSet};
 pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, solve_active_lp, solve_active_lp_with,
-    try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions, LpTelemetry, WarmMode,
+    try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions, LpTelemetry, RunSlots, RunY,
+    SlotRun, WarmMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

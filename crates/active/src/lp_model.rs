@@ -24,8 +24,11 @@
 //! constraint and the objective. With at most `2n` event points this cuts
 //! the model from `O(T·n)` to `O(n²)` — the dominant win on long horizons.
 //!
-//! The reported [`ActiveLp`] stays per-slot (the §3.1 right-shifting
-//! consumes per-slot `y`), using the exact uniform disaggregation.
+//! The reported [`ActiveLp`] keeps the runs: it stores one `Y_I` per run
+//! and reads per-slot `y` through the uniform disaggregation, so no layer
+//! between the solve and the final schedule allocates per slot. Every
+//! deadline is a run boundary, so the §3.1 right-shift sums whole runs
+//! per deadline segment.
 //!
 //! # Bound encodings
 //!
@@ -111,7 +114,7 @@
 #![allow(clippy::needless_range_loop)] // job indices are shared across parallel vectors
 
 use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::{horizon_slots, job_feasible_in_slot};
+use abt_core::active_schedule::job_feasible_in_slot;
 use abt_core::obs::{
     self,
     metrics::{Counter, Gauge},
@@ -564,29 +567,185 @@ pub(crate) fn solve_options(opts: &LpOptions) -> SolveOptions<'static> {
         .certify(opts.certify)
 }
 
-/// An optimal fractional solution of `LP1`.
+/// An optimal fractional solution of `LP1`, held as LP1's own coalesced
+/// slot runs: per-slot data is never materialized, so its size is
+/// independent of the horizon length.
+///
+/// `slots` and `y` are run-length *views* with slice-like reads:
+/// `lp.slots.len()` is the horizon's slot count and `&lp.y` iterates one
+/// `&Rat` per slot (each run's uniform share `Y_I / w_I`, repeated over
+/// its slots — the exact disaggregation of the module docs).
 #[derive(Debug, Clone)]
 pub struct ActiveLp {
-    /// Horizon slots, ascending; parallel to `y`.
-    pub slots: Vec<Time>,
-    /// Optimal `y_t` per slot.
-    pub y: Vec<Rat>,
+    /// Horizon slots, ascending, as contiguous runs; parallel to `y`.
+    pub slots: RunSlots,
+    /// Optimal `y_t` per slot, as one uniform share per run.
+    pub y: RunY,
     /// Optimal objective `Σ_t y_t` — a lower bound on integral OPT.
     pub objective: Rat,
 }
 
+impl ActiveLp {
+    /// Assembles a solution from contiguous ascending `runs` and their
+    /// total open mass `y_runs` (`Y_I`, at most the run's width).
+    pub fn from_runs(runs: Vec<SlotRun>, y_runs: Vec<Rat>, objective: Rat) -> ActiveLp {
+        assert_eq!(runs.len(), y_runs.len(), "one Y per run");
+        debug_assert!(runs.windows(2).all(|w| w[0].end == w[1].start));
+        let y = RunY::new(&runs, y_runs);
+        ActiveLp {
+            slots: RunSlots::new(runs),
+            y,
+            objective,
+        }
+    }
+
+    /// The runs with their total open mass `Y_I`, ascending.
+    pub fn run_masses(&self) -> impl Iterator<Item = (SlotRun, &Rat)> + '_ {
+        self.slots.runs.iter().copied().zip(self.y.masses())
+    }
+}
+
+/// The horizon slots of an [`ActiveLp`], stored as contiguous runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunSlots {
+    runs: Vec<SlotRun>,
+    len: usize,
+}
+
+impl RunSlots {
+    fn new(runs: Vec<SlotRun>) -> RunSlots {
+        let len = runs.iter().map(|r| r.width() as usize).sum();
+        RunSlots { runs, len }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the horizon has no slot.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The runs, ascending and contiguous.
+    pub fn runs(&self) -> &[SlotRun] {
+        &self.runs
+    }
+
+    /// Every slot, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Time> + '_ {
+        self.runs.iter().flat_map(|r| r.start + 1..=r.end)
+    }
+
+    /// Every slot, materialized (O(horizon)).
+    pub fn to_vec(&self) -> Vec<Time> {
+        self.iter().collect()
+    }
+}
+
+/// LP1's optimal `y` per slot, stored as one uniform share per run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunY {
+    /// Per run: width, total mass `Y_I`, and share `Y_I / w_I`.
+    runs: Vec<(i64, Rat, Rat)>,
+    len: usize,
+}
+
+impl RunY {
+    fn new(runs: &[SlotRun], y_runs: Vec<Rat>) -> RunY {
+        let runs: Vec<(i64, Rat, Rat)> = runs
+            .iter()
+            .zip(y_runs)
+            .map(|(run, mass)| {
+                let w = run.width();
+                (w, mass, mass.div(&Rat::from_int(w)))
+            })
+            .collect();
+        let len = runs.iter().map(|&(w, _, _)| w as usize).sum();
+        RunY { runs, len }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the horizon has no slot.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Per-slot values, ascending by slot.
+    #[inline]
+    pub fn iter(&self) -> RunYIter<'_> {
+        RunYIter {
+            rest: &self.runs,
+            share: &Rat::ZERO,
+            left: 0,
+        }
+    }
+
+    /// Total open mass `Y_I` per run.
+    fn masses(&self) -> impl Iterator<Item = &Rat> + '_ {
+        self.runs.iter().map(|(_, mass, _)| mass)
+    }
+
+    /// Every per-slot value, materialized (O(horizon)).
+    pub fn to_vec(&self) -> Vec<Rat> {
+        self.iter().copied().collect()
+    }
+}
+
+/// Iterator over the per-slot values of a [`RunY`].
+#[derive(Debug, Clone)]
+pub struct RunYIter<'a> {
+    /// Runs after the current one.
+    rest: &'a [(i64, Rat, Rat)],
+    /// The current run's share.
+    share: &'a Rat,
+    /// Slots of the current run not yet yielded.
+    left: i64,
+}
+
+impl<'a> Iterator for RunYIter<'a> {
+    type Item = &'a Rat;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Rat> {
+        if self.left == 0 {
+            // Runs are never empty, so one step reaches a slot.
+            let ((width, _, share), rest) = self.rest.split_first()?;
+            (self.rest, self.share, self.left) = (rest, share, *width);
+        }
+        self.left -= 1;
+        Some(self.share)
+    }
+}
+
+impl<'a> IntoIterator for &'a RunY {
+    type Item = &'a Rat;
+    type IntoIter = RunYIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> RunYIter<'a> {
+        self.iter()
+    }
+}
+
 /// A maximal run of horizon slots with identical feasible job sets:
 /// the slots `{start+1, …, end}`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SlotRun {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRun {
     /// Exclusive left end.
-    pub(crate) start: Time,
+    pub start: Time,
     /// Inclusive right end.
-    pub(crate) end: Time,
+    pub end: Time,
 }
 
 impl SlotRun {
-    pub(crate) fn width(&self) -> i64 {
+    /// Number of slots in the run.
+    pub fn width(&self) -> i64 {
         self.end - self.start
     }
 }
@@ -1001,18 +1160,13 @@ pub fn try_solve_active_lp_with(
     inst: &Instance,
     opts: &LpOptions,
 ) -> std::result::Result<ActiveLp, SolveError> {
-    let (slots, runs, comps) = {
+    let (runs, comps) = {
         let mut span = abt_core::obs_span!("solve.decompose");
-        let slots = horizon_slots(inst);
         let runs = slot_runs(inst, opts.coalesce);
-        debug_assert_eq!(
-            runs.iter().map(SlotRun::width).sum::<i64>(),
-            slots.len() as i64
-        );
         let comps = components(inst, &runs, opts.decompose);
         span.field("runs", runs.len());
         span.field("components", comps.len());
-        (slots, runs, comps)
+        (runs, comps)
     };
     let sharded = comps.len() > 1;
     if sharded {
@@ -1070,27 +1224,7 @@ pub fn try_solve_active_lp_with(
             quarantined,
         }));
     }
-    let y = disaggregate(&runs, &y_runs);
-    debug_assert_eq!(y.len(), slots.len());
-    Ok(ActiveLp {
-        slots,
-        y,
-        objective,
-    })
-}
-
-/// Uniform exact disaggregation of per-run `Y` mass back to per-slot `y`
-/// (`y_t = Y_I / w_I` on every slot of run `I`).
-pub(crate) fn disaggregate(runs: &[SlotRun], y_runs: &[Rat]) -> Vec<Rat> {
-    let total: i64 = runs.iter().map(SlotRun::width).sum();
-    let mut y: Vec<Rat> = Vec::with_capacity(total as usize);
-    for (ri, run) in runs.iter().enumerate() {
-        let share = y_runs[ri].div(&Rat::from_int(run.width()));
-        for _ in 0..run.width() {
-            y.push(share);
-        }
-    }
-    y
+    Ok(ActiveLp::from_runs(runs, y_runs, objective))
 }
 
 /// Checks whether a *fractional* assignment exists for all jobs given fixed
@@ -1285,6 +1419,31 @@ mod tests {
     }
 
     #[test]
+    fn run_length_views_read_like_per_slot_vectors() {
+        let inst = Instance::from_triples([(0, 3, 2), (9_997, 10_000, 2), (5, 40, 7)], 1).unwrap();
+        let lp = solve_active_lp(&inst).unwrap();
+        assert_eq!(
+            lp.slots.to_vec(),
+            abt_core::active_schedule::horizon_slots(&inst)
+        );
+        let y = lp.y.to_vec();
+        assert_eq!(y.len(), lp.y.len());
+        assert_eq!(lp.y.len(), lp.slots.len());
+        // Each slot reads its run's uniform share Y_I / w_I.
+        let mut i = 0;
+        for (run, mass) in lp.run_masses() {
+            let share = mass.div(&Rat::from_int(run.width()));
+            for _ in 0..run.width() {
+                assert_eq!(y[i], share);
+                i += 1;
+            }
+        }
+        assert_eq!(i, y.len());
+        let sum = (&lp.y).into_iter().fold(Rat::ZERO, |acc, v| acc.add(v));
+        assert_eq!(sum, lp.objective);
+    }
+
+    #[test]
     fn telemetry_counts_solves() {
         let before = lp_telemetry();
         let inst = Instance::from_triples([(0, 4, 2), (1, 3, 2)], 2).unwrap();
@@ -1395,7 +1554,7 @@ mod tests {
         // Gap runs stay closed: every slot in (4, 100] has y = 0.
         let auto = solve_active_lp(&inst).unwrap();
         for (slot, y) in auto.slots.iter().zip(&auto.y) {
-            if *slot > 4 && *slot <= 100 {
+            if slot > 4 && slot <= 100 {
                 assert_eq!(*y, Rat::ZERO, "slot {slot} lies in the gap");
             }
         }

@@ -15,18 +15,24 @@
 //!   half-open slot (`Σy ≥ 1`). Lemma 6 proves a charge target always
 //!   exists; the implementation still carries a defensive fallback that
 //!   opens the slot and flags the ledger (`anomalies`), plus a final
-//!   feasibility repair (`repair_slots`) — both remain 0 across the entire
-//!   test and experiment suite.
+//!   feasibility repair (`repair_slots`). The fallback stays 0 across the
+//!   test and experiment suite; the repair fires on a few larger random
+//!   instances (n = 200), where it binary-searches the number of latest
+//!   unopened slots to add.
+//!
+//! All of it works on intervals, never on the horizon slot by slot: the
+//! opened set is a [`SlotSet`] of one block per segment plus single
+//! residue slots, the ledger keeps fully open slots as blocks, and the
+//! closure checks run on the piece graph of [`crate::feasibility`].
 //!
 //! The outcome carries the exact LP objective so callers can assert
 //! `cost ≤ 2·LP ≤ 2·OPT` with rational arithmetic.
 
-use crate::feasibility::FeasibilityChecker;
+use crate::feasibility::{FeasibilityChecker, SlotSet};
 use crate::lp_model::{solve_active_lp, ActiveLp};
 use crate::right_shift::{right_shift, RightShifted};
 use abt_core::{ActiveSchedule, Error, Instance, JobId, Result, Time};
 use abt_lp::Rat;
-use std::collections::BTreeSet;
 
 /// How an opened slot was paid for (for the experiment tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +66,7 @@ pub struct RoundingOutcome {
     pub charges: Vec<(ChargeKind, usize)>,
     /// Times the defensive charging fallback fired (expected 0).
     pub anomalies: usize,
-    /// Slots added by the final feasibility repair (expected 0).
+    /// Slots added by the final feasibility repair (0 on most inputs).
     pub repair_slots: usize,
 }
 
@@ -72,9 +78,10 @@ impl RoundingOutcome {
     }
 }
 
+/// A fully open slot that has been charged a dependent.
 struct FullSlot {
     t: Time,
-    dependent: Option<Rat>,
+    dependent: Rat,
     in_trio: bool,
 }
 
@@ -84,7 +91,14 @@ struct HalfSlot {
     has_filler: bool,
 }
 
+/// The charging ledger of Lemma 6. Fully open slots arrive a segment's
+/// `⌊Y_i⌋` block at a time and are kept as blocks until one takes a
+/// dependent, so the ledger's size follows the barely open slots, not the
+/// horizon.
 struct Ledger {
+    /// Fully open slots without a dependent, as blocks `(start, end]`.
+    free: Vec<(Time, Time)>,
+    /// Fully open slots that took a dependent.
     fulls: Vec<FullSlot>,
     halves: Vec<HalfSlot>,
     tally: [usize; 6],
@@ -93,6 +107,7 @@ struct Ledger {
 impl Ledger {
     fn new() -> Self {
         Ledger {
+            free: Vec::new(),
             fulls: Vec::new(),
             halves: Vec::new(),
             tally: [0; 6],
@@ -100,6 +115,10 @@ impl Ledger {
     }
 
     fn record(&mut self, kind: ChargeKind) {
+        self.record_n(kind, 1);
+    }
+
+    fn record_n(&mut self, kind: ChargeKind, n: usize) {
         let idx = match kind {
             ChargeKind::FullyOpen => 0,
             ChargeKind::SelfHalf => 1,
@@ -108,16 +127,19 @@ impl Ledger {
             ChargeKind::Filler => 4,
             ChargeKind::Anomaly => 5,
         };
-        self.tally[idx] += 1;
+        self.tally[idx] += n;
+    }
+
+    /// Adds the fully open slots `start+1, …, end`.
+    fn add_full_block(&mut self, start: Time, end: Time) {
+        if start < end {
+            self.free.push((start, end));
+            self.record_n(ChargeKind::FullyOpen, (end - start) as usize);
+        }
     }
 
     fn add_full(&mut self, t: Time) {
-        self.fulls.push(FullSlot {
-            t,
-            dependent: None,
-            in_trio: false,
-        });
-        self.record(ChargeKind::FullyOpen);
+        self.add_full_block(t - 1, t);
     }
 
     fn add_half(&mut self, t: Time, y: Rat) {
@@ -132,14 +154,20 @@ impl Ledger {
     /// Charges a barely open slot of value `v`; returns how.
     fn charge_barely(&mut self, v: Rat) -> ChargeKind {
         let half = Rat::new(1, 2);
-        // (a) earliest fully open slot without dependent (and not in a trio).
-        if let Some(fs) = self
-            .fulls
-            .iter_mut()
-            .filter(|f| f.dependent.is_none() && !f.in_trio)
-            .min_by_key(|f| f.t)
-        {
-            fs.dependent = Some(v);
+        // (a) earliest fully open slot without dependent (and not in a
+        // trio): the first slot of the earliest free block.
+        if let Some(bi) = (0..self.free.len()).min_by_key(|&i| self.free[i].0) {
+            let (start, end) = self.free[bi];
+            if start + 1 == end {
+                self.free.remove(bi);
+            } else {
+                self.free[bi].0 = start + 1;
+            }
+            self.fulls.push(FullSlot {
+                t: start + 1,
+                dependent: v,
+                in_trio: false,
+            });
             self.record(ChargeKind::Dependent);
             return ChargeKind::Dependent;
         }
@@ -147,7 +175,7 @@ impl Ledger {
         if let Some(fs) = self
             .fulls
             .iter_mut()
-            .filter(|f| !f.in_trio && f.dependent.is_some_and(|d| d.add(&v) >= half))
+            .filter(|f| !f.in_trio && f.dependent.add(&v) >= half)
             .min_by_key(|f| f.t)
         {
             fs.in_trio = true;
@@ -178,12 +206,14 @@ pub fn lp_rounding(inst: &Instance) -> Result<RoundingOutcome> {
 }
 
 /// Rounding given an already-solved LP (lets experiments reuse the solve).
+/// Slots are listed one by one only in the returned `opened` and
+/// `schedule`.
 pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcome> {
     let rs: RightShifted = right_shift(inst, lp);
     let checker = FeasibilityChecker::new(inst);
     let half = Rat::new(1, 2);
 
-    let mut opened: BTreeSet<Time> = BTreeSet::new();
+    let mut opened = SlotSet::new();
     let mut ledger = Ledger::new();
     let mut proxy: Option<(Rat, Time)> = None;
     let mut jobs_so_far: Vec<JobId> = Vec::new();
@@ -195,11 +225,8 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
         let floor = y.floor() as i64;
         let fr = y.fract();
         // Open the ⌊Y_i⌋ fully open right-shifted slots.
-        for k in 0..floor {
-            let t = seg.deadline - k;
-            opened.insert(t);
-            ledger.add_full(t);
-        }
+        opened.insert_run(seg.deadline - floor, seg.deadline);
+        ledger.add_full_block(seg.deadline - floor, seg.deadline);
         // Build the fractional residue items: at most one half-open slot and
         // one barely/merged item (§3.4 "Dealing with a proxy slot").
         let mut residue: Vec<(Rat, Time)> = Vec::new();
@@ -237,8 +264,7 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
                 ledger.add_half(loc, v);
             } else {
                 // Barely open: try to close it.
-                let open_now: Vec<Time> = opened.iter().copied().collect();
-                if checker.is_feasible_subset(&jobs_so_far, &open_now) {
+                if checker.is_feasible_subset_on(&jobs_so_far, &opened) {
                     proxy = Some((v, loc));
                 } else {
                     opened.insert(loc);
@@ -252,25 +278,16 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
 
     // Final feasibility (guaranteed by Lemma 5; repaired defensively).
     let mut repair_slots = 0usize;
-    let mut open_vec: Vec<Time> = opened.iter().copied().collect();
-    if !checker.is_feasible(&open_vec) {
-        for &t in rs.slots.iter().rev() {
-            if opened.contains(&t) {
-                continue;
-            }
-            opened.insert(t);
-            repair_slots += 1;
-            open_vec = opened.iter().copied().collect();
-            if checker.is_feasible(&open_vec) {
-                break;
-            }
+    let schedule = match checker.check_on(&opened) {
+        Some(schedule) => Some(schedule),
+        None => {
+            repair_slots = repair(&checker, inst, &mut opened);
+            checker.check_on(&opened)
         }
     }
-    let schedule = checker
-        .check(&open_vec)
-        .ok_or_else(|| Error::Infeasible("rounding could not recover feasibility".into()))?;
+    .ok_or_else(|| Error::Infeasible("rounding could not recover feasibility".into()))?;
 
-    let cost = open_vec.len() as i64;
+    let cost = opened.len() as i64;
     let charges = vec![
         (ChargeKind::FullyOpen, ledger.tally[0]),
         (ChargeKind::SelfHalf, ledger.tally[1]),
@@ -280,7 +297,7 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
         (ChargeKind::Anomaly, ledger.tally[5]),
     ];
     Ok(RoundingOutcome {
-        opened: open_vec,
+        opened: opened.to_vec(),
         schedule,
         lp_objective: lp.objective,
         cost,
@@ -288,6 +305,57 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
         anomalies,
         repair_slots,
     })
+}
+
+/// The defensive repair of an infeasible `opened`: adds the fewest
+/// unopened horizon slots, latest first, that make it feasible, and
+/// returns how many it added (all of them when none suffice).
+///
+/// Feasibility only grows as slots are added, so the smallest feasible
+/// count is found by binary search in O(log T) flow checks; the result is
+/// the one a slot-by-slot descending scan would reach.
+fn repair(checker: &FeasibilityChecker, inst: &Instance, opened: &mut SlotSet) -> usize {
+    // The unopened horizon slots as gaps `(start, end]`, latest first.
+    let (lo, hi) = (inst.min_release(), inst.max_deadline());
+    let mut gaps: Vec<(Time, Time)> = Vec::new();
+    let mut next = lo;
+    for &(a, b) in opened.runs() {
+        let end = a.min(hi);
+        if end > next {
+            gaps.push((next, end));
+        }
+        next = next.max(b);
+    }
+    if hi > next {
+        gaps.push((next, hi));
+    }
+    gaps.reverse();
+    let with_latest = |k: i64| -> SlotSet {
+        let mut set = opened.clone();
+        let mut left = k;
+        for &(a, b) in &gaps {
+            if left == 0 {
+                break;
+            }
+            let take = left.min(b - a);
+            set.insert_run(b - take, b);
+            left -= take;
+        }
+        set
+    };
+    let total: i64 = gaps.iter().map(|&(a, b)| b - a).sum();
+    // Invariant: `bad` slots are not enough; `good` are, or are all.
+    let (mut bad, mut good) = (0i64, total);
+    while good - bad > 1 {
+        let mid = bad + (good - bad) / 2;
+        if checker.is_feasible_on(&with_latest(mid)) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    *opened = with_latest(good);
+    good as usize
 }
 
 #[cfg(test)]
@@ -324,10 +392,10 @@ mod tests {
         ledger.add_full(5);
         assert_eq!(ledger.charge_barely(rat(1, 5)), ChargeKind::Dependent);
         // The earlier slot (t = 5) must have received the dependent.
-        let early = ledger.fulls.iter().find(|f| f.t == 5).unwrap();
-        assert!(early.dependent.is_some());
-        let late = ledger.fulls.iter().find(|f| f.t == 30).unwrap();
-        assert!(late.dependent.is_none());
+        assert_eq!(ledger.fulls.len(), 1);
+        assert_eq!(ledger.fulls[0].t, 5);
+        assert_eq!(ledger.fulls[0].dependent, rat(1, 5));
+        assert_eq!(ledger.free, vec![(29, 30)], "slot 30 stays free");
     }
 
     #[test]
@@ -367,6 +435,81 @@ mod tests {
             out.lp_objective
         );
         out
+    }
+
+    /// The slot-by-slot repair the binary search replaces: add unopened
+    /// horizon slots latest first, one flow check each, until feasible.
+    fn repair_linear(inst: &Instance, opened: &SlotSet) -> (SlotSet, usize) {
+        let checker = FeasibilityChecker::new(inst);
+        let mut set = opened.clone();
+        let mut added = 0;
+        for t in abt_core::active_schedule::horizon_slots(inst)
+            .into_iter()
+            .rev()
+        {
+            if set.contains(t) {
+                continue;
+            }
+            set.insert(t);
+            added += 1;
+            if checker.is_feasible_on(&set) {
+                break;
+            }
+        }
+        (set, added)
+    }
+
+    fn assert_repair_matches_linear(inst: &Instance, opened: &SlotSet) -> usize {
+        let checker = FeasibilityChecker::new(inst);
+        assert!(
+            !checker.is_feasible_on(opened),
+            "repair needs an infeasible set"
+        );
+        let (want, want_added) = repair_linear(inst, opened);
+        let mut got = opened.clone();
+        let added = repair(&checker, inst, &mut got);
+        assert_eq!((got, added), (want, want_added), "{inst:?} from {opened:?}");
+        added
+    }
+
+    #[test]
+    fn repair_binary_search_matches_the_linear_scan() {
+        // Job 0 needs 3 slots of (0, 4] but only slot 1 is open; the scan
+        // walks down through the useless slots 9..5 before 4 and 3 fix it.
+        let inst = Instance::from_triples([(0, 4, 3), (6, 10, 1)], 1).unwrap();
+        let opened = SlotSet::from_slots(&[1, 10]);
+        assert_eq!(assert_repair_matches_linear(&inst, &opened), 7);
+        // Nothing suffices: every unopened slot is added.
+        let doomed = Instance::from_triples([(0, 1, 1), (0, 1, 1), (0, 5, 1)], 1).unwrap();
+        assert_eq!(assert_repair_matches_linear(&doomed, &SlotSet::new()), 5);
+        // Random infeasible opened sets.
+        let mut state = 0x5EED_u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut checked = 0;
+        while checked < 40 {
+            let triples: Vec<(i64, i64, i64)> = (0..2 + next(4))
+                .map(|_| {
+                    let r = next(10) as i64;
+                    let len = 1 + next(3) as i64;
+                    (r, r + len + next(6) as i64, len)
+                })
+                .collect();
+            let inst = Instance::from_triples(triples, 1 + next(2) as usize).unwrap();
+            let slots: Vec<Time> = abt_core::active_schedule::horizon_slots(&inst)
+                .into_iter()
+                .filter(|_| next(3) == 0)
+                .collect();
+            let opened = SlotSet::from_slots(&slots);
+            if !FeasibilityChecker::new(&inst).is_feasible_on(&opened) {
+                assert_repair_matches_linear(&inst, &opened);
+                checked += 1;
+            }
+        }
     }
 
     #[test]

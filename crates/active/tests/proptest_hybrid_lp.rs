@@ -208,7 +208,7 @@ proptest! {
                 // Certify the stitched y actually supports a fractional
                 // schedule (LP2).
                 prop_assert!(
-                    fractional_feasible(&inst, &lp.slots, &lp.y),
+                    fractional_feasible(&inst, &lp.slots.to_vec(), &lp.y.to_vec()),
                     "{:?}: stitched y must be LP2-feasible",
                     opts
                 );

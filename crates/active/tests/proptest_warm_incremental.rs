@@ -41,7 +41,7 @@ fn assert_batch_matches_cold(inst: &abt_core::Instance) -> Result<(), TestCaseEr
             opts
         );
         prop_assert!(
-            fractional_feasible(inst, &warm.slots, &warm.y),
+            fractional_feasible(inst, &warm.slots.to_vec(), &warm.y.to_vec()),
             "{:?}: warm-batched y must be LP2-feasible",
             opts
         );
@@ -152,8 +152,8 @@ proptest! {
         let rep = solver.solve().unwrap();
         prop_assert!(fractional_feasible(
             &oa.instance(),
-            &rep.lp.slots,
-            &rep.lp.y
+            &rep.lp.slots.to_vec(),
+            &rep.lp.y.to_vec()
         ));
     }
 }
@@ -201,8 +201,8 @@ proptest! {
         prop_assert_eq!(rep.lp.objective, scratch.objective);
         prop_assert!(fractional_feasible(
             &solver.instance().unwrap(),
-            &rep.lp.slots,
-            &rep.lp.y
+            &rep.lp.slots.to_vec(),
+            &rep.lp.y.to_vec()
         ));
     }
 }

@@ -233,7 +233,9 @@ pub fn e3() -> ExperimentReport {
             .segments
             .iter()
             .fold(Rat::ZERO, |acc, s| acc.add(&s.y_sum));
-        let feasible = fractional_feasible(&inst, &rs.slots, &rs.shifted_y);
+        // The LP2 oracle is per-slot: expand the shifted y explicitly.
+        let slots = lp.slots.to_vec();
+        let feasible = fractional_feasible(&inst, &slots, &rs.shifted_y(&slots));
         Some((name, lp.objective, shifted_cost, feasible))
     });
     let mut all_ok = true;

@@ -130,7 +130,11 @@ impl BusyLpTelemetry {
 /// Cumulative busy-LP counters for this process — a view over the shared
 /// `abt_core::obs` metrics registry (`busy.lp.*` names).
 pub fn busy_lp_telemetry() -> BusyLpTelemetry {
-    let m = met();
+    telemetry(met())
+}
+
+/// The [`BusyLpTelemetry`] view of one prefix's ladder metrics.
+fn telemetry(m: &LadderMetrics) -> BusyLpTelemetry {
     BusyLpTelemetry {
         solves: m.solves.get(),
         fallbacks: m.fallbacks.get(),
@@ -202,8 +206,13 @@ pub fn build_busy_lp(inst: &Instance) -> Result<BusyLpModel> {
 /// exact, each rung panic-isolated), recording under the `busy.lp.*`
 /// metrics. If every rung fails the solve is quarantined.
 pub fn solve_busy_lp(lp: &LpProblem<Rat>) -> Result<LpReport> {
-    supervised_solve(lp, &SolveOptions::new(), BUSY_LP_METRICS).map_err(|f| {
-        met().quarantined.inc();
+    solve_busy_lp_at(lp, BUSY_LP_METRICS)
+}
+
+/// [`solve_busy_lp`], recording under the metric prefix `metrics`.
+fn solve_busy_lp_at(lp: &LpProblem<Rat>, metrics: &'static str) -> Result<LpReport> {
+    supervised_solve(lp, &SolveOptions::new(), metrics).map_err(|f| {
+        ladder_metrics(metrics).quarantined.inc();
         obs::trace::event("supervise.quarantine", || {
             vec![("model", "busy".to_string())]
         });
@@ -263,13 +272,19 @@ pub fn lp_rounding_busy(inst: &Instance) -> Result<BusySchedule> {
 /// factor guarantees (`≤ 2·profile` and `≤ 4·LP`) and the instance's
 /// busy-time lower bounds before it is returned.
 pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
+    lp_rounding_run_at(inst, BUSY_LP_METRICS)
+}
+
+/// [`lp_rounding_run`], recording the LP solve under the metric prefix
+/// `metrics`.
+fn lp_rounding_run_at(inst: &Instance, metrics: &'static str) -> Result<LpRoundingRun> {
     let model = build_busy_lp(inst)?;
     let g = inst.g() as i64;
     let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
     let profile = DemandProfile::new(&windows);
     let profile_bound = profile.cost(g as usize);
 
-    let rep = solve_busy_lp(&model.lp)?;
+    let rep = solve_busy_lp_at(&model.lp, metrics)?;
     let lp_objective = model.lp.objective_value(&rep.solution.x);
 
     // Round: m_i = ⌈z*_i⌉ machines on segment i; pad the demand up to
@@ -325,7 +340,10 @@ mod tests {
     }
 
     fn check(inst: &Instance) -> LpRoundingRun {
-        let run = lp_rounding_run(inst).unwrap();
+        check_run(inst, lp_rounding_run(inst).unwrap())
+    }
+
+    fn check_run(inst: &Instance, run: LpRoundingRun) -> LpRoundingRun {
         run.schedule.validate(inst).unwrap();
         let cost = run.schedule.total_busy_time(inst);
         assert!(run.within_four_lp(), "cost {cost} > 4×LP");
@@ -383,12 +401,19 @@ mod tests {
 
     #[test]
     fn ladder_solves_record_telemetry() {
-        let before = busy_lp_telemetry();
+        // Sibling tests solve busy LPs concurrently under `busy.lp.*`, so
+        // the exact counts are read from a prefix this test owns.
+        const OWN: &str = "test.ladder_solves_record_telemetry.busy.lp.";
         let inst = interval_inst(&[(0, 4), (1, 5)], 2);
-        check(&inst);
-        let d = busy_lp_telemetry().delta(&before);
+        let before = telemetry(ladder_metrics(OWN));
+        check_run(&inst, lp_rounding_run_at(&inst, OWN).unwrap());
+        let d = telemetry(ladder_metrics(OWN)).delta(&before);
         assert_eq!(d.solves, 1);
         assert_eq!(d.quarantined, 0);
+        // The public entry point records under the shared prefix.
+        let before = busy_lp_telemetry();
+        check(&inst);
+        assert!(busy_lp_telemetry().delta(&before).solves >= 1);
     }
 
     #[test]

@@ -262,7 +262,11 @@ fn run(args: &[&str]) -> Result<(), String> {
             let before = lp_telemetry();
             let lp = solve_active_lp_with(&inst, &opts).map_err(|e| e.to_string())?;
             let d = lp_telemetry().delta(&before);
-            let open = lp.y.iter().filter(|v| v.signum() > 0).count();
+            let open: i64 = lp
+                .run_masses()
+                .filter(|(_, y)| y.signum() > 0)
+                .map(|(run, _)| run.width())
+                .sum();
             println!("LP1 optimum: {}", lp.objective);
             println!("fractionally open slots: {open} of {}", lp.slots.len());
             println!(

@@ -91,7 +91,10 @@ impl ActiveSchedule {
                 inst.len()
             )));
         }
-        let mut load: BTreeMap<Time, i64> = BTreeMap::new();
+        // The active slots as a sorted vector: one binary search per unit
+        // answers membership and gives the slot's dense load index.
+        let active: Vec<Time> = self.active.iter().copied().collect();
+        let mut load: Vec<u32> = vec![0; active.len()];
         for (id, slots) in self.assignment.iter().enumerate() {
             let j = inst.job(id);
             if slots.len() as i64 != j.length {
@@ -115,17 +118,19 @@ impl ActiveSchedule {
                         j.release, j.deadline
                     )));
                 }
-                if !self.active.contains(&t) {
-                    return Err(Error::InvalidSchedule(format!(
-                        "job {id} assigned inactive slot {t}"
-                    )));
+                match active.binary_search(&t) {
+                    Ok(i) => load[i] += 1,
+                    Err(_) => {
+                        return Err(Error::InvalidSchedule(format!(
+                            "job {id} assigned inactive slot {t}"
+                        )))
+                    }
                 }
-                *load.entry(t).or_insert(0) += 1;
             }
         }
         let g = inst.g() as i64;
-        for (&t, &l) in &load {
-            if l > g {
+        for (&t, &l) in active.iter().zip(&load) {
+            if i64::from(l) > g {
                 return Err(Error::InvalidSchedule(format!(
                     "slot {t} carries {l} units, capacity is {g}"
                 )));
@@ -195,6 +200,26 @@ mod tests {
     fn inactive_slot_detected() {
         let s = ActiveSchedule::new([1, 2], vec![vec![1, 2], vec![2], vec![2, 3]]);
         assert!(s.validate(&inst()).is_err());
+    }
+
+    #[test]
+    fn inactive_slot_is_reported_before_capacity() {
+        // Slot 2 carries 3 units with g = 2 *and* job 2 uses inactive
+        // slot 4: the per-unit membership check fires first.
+        let i = Instance::from_triples([(0, 3, 2), (0, 2, 1), (1, 4, 2)], 2).unwrap();
+        let s = ActiveSchedule::new([1, 2, 3], vec![vec![2, 3], vec![2], vec![2, 4]]);
+        let e = s.validate(&i).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            Error::InvalidSchedule("job 2 assigned inactive slot 4".into()).to_string()
+        );
+        // With slot 4 active, the capacity violation is what remains.
+        let s = ActiveSchedule::new([1, 2, 3, 4], vec![vec![2, 3], vec![2], vec![2, 4]]);
+        let e = s.validate(&i).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            Error::InvalidSchedule("slot 2 carries 3 units, capacity is 2".into()).to_string()
+        );
     }
 
     #[test]

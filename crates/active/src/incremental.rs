@@ -45,16 +45,16 @@
 
 use crate::admission::precheck_jobs;
 use crate::lp_model::{
-    build_component_lp, component_signature, components, lp_telemetry, record_admission_reject,
-    record_quarantine, record_recovery, record_state_corrupt, record_warm_attempt, slot_runs,
-    solve_options, ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, LP_METRICS,
-    SNAPSHOT_POOL_CAP,
+    build_component_lp, component_signature, components, finish_component, lp_telemetry,
+    record_admission_reject, record_quarantine, record_recovery, record_state_corrupt,
+    record_warm_attempt, slot_runs, solve_options, ActiveLp, Component, ComponentBlock,
+    ComponentSignature, DecomposeMode, LpOptions, Stitch, LP_METRICS, SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
-use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
+use crate::supervise::SolveError;
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
-use abt_lp::{supervised_solve, BasisSnapshot, LpStatus, Rat};
+use abt_lp::{supervised_solve, BasisSnapshot, Rat};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -68,13 +68,6 @@ const CACHE_CAP: usize = 16_384;
 /// permutation of the per-job blocks, so their exact optima (objective
 /// and per-run `Y`) coincide.
 pub(crate) type ContentKey = Vec<(i64, i64, i64)>;
-
-/// A solved component block, reusable whenever the same content recurs.
-#[derive(Clone)]
-pub(crate) struct CachedBlock {
-    pub(crate) y_runs: Vec<Rat>,
-    pub(crate) objective: Rat,
-}
 
 /// A shape's snapshot pool plus the pivot count of the first cold solve
 /// that seeded it (the reference for `warm_pivots_saved`).
@@ -113,7 +106,8 @@ pub struct IncrementalSolver {
     opts: LpOptions,
     jobs: Vec<Option<Job>>,
     live: usize,
-    content_cache: HashMap<ContentKey, CachedBlock>,
+    /// Solved component blocks, reusable whenever the same content recurs.
+    content_cache: HashMap<ContentKey, ComponentBlock>,
     shape_cache: HashMap<ComponentSignature, ShapeEntry>,
     /// Components whose supervision ladder failed entirely, keyed by
     /// content: a quarantined key is **not retried** on later solves —
@@ -129,9 +123,7 @@ pub struct IncrementalSolver {
 }
 
 impl IncrementalSolver {
-    /// A solver with the default [`LpOptions`] (warm starts are always
-    /// attempted on re-solves, whatever `opts.warm` says — that flag
-    /// governs the batch planner, not this driver).
+    /// A solver with the default [`LpOptions`].
     pub fn new(g: usize) -> Result<IncrementalSolver> {
         IncrementalSolver::with_options(g, LpOptions::default())
     }
@@ -360,9 +352,7 @@ impl IncrementalSolver {
         let inst = self.instance().map_err(SolveError::Model)?;
         let runs = slot_runs(&inst, self.opts.coalesce);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
-        let mut y_runs = vec![Rat::ZERO; runs.len()];
-        let mut objective = Rat::ZERO;
-        let mut healthy: Vec<(usize, Rat)> = Vec::new();
+        let mut stitch = Stitch::new(runs.len());
         let mut reused = 0;
         // Clean components (content key cached with a matching run count)
         // reuse their blocks verbatim; the rest are dirty.
@@ -372,9 +362,7 @@ impl IncrementalSolver {
             match self.content_cache.get(&key) {
                 Some(block) if block.y_runs.len() == comp.run_hi - comp.run_lo => {
                     reused += 1;
-                    y_runs[comp.run_lo..comp.run_hi].copy_from_slice(&block.y_runs);
-                    objective = objective.add(&block.objective);
-                    healthy.push((ci, block.objective));
+                    stitch.place(ci, comp, block);
                 }
                 _ => dirty.push((ci, key)),
             }
@@ -402,19 +390,10 @@ impl IncrementalSolver {
             });
         }
         let sopts = solve_options(&self.opts);
-        let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
         let mut live_quarantine: Vec<ContentKey> = Vec::new();
-        let mut report = IncrementalReport {
-            lp: ActiveLp::from_runs(Vec::new(), Vec::new(), Rat::ZERO),
-            components: comps.len(),
-            reused,
-            warm_attempts: 0,
-            warm_hits: 0,
-            cold_solves: 0,
-        };
+        let (mut warm_attempts, mut warm_hits, mut cold_solves) = (0, 0, 0);
         for (ci, ckey) in dirty {
             let comp = &comps[ci];
-            let n_runs = comp.run_hi - comp.run_lo;
             if self.content_cache.remove(&ckey).is_some() {
                 // A block whose run count disagrees with its key can
                 // only come from drifted persisted state (in-memory
@@ -427,10 +406,7 @@ impl IncrementalSolver {
             // A quarantined key is not retried: the ladder already failed
             // for this exact content, and re-admission is content-driven.
             if let Some(f) = self.quarantine.get(&ckey) {
-                quarantined.push(QuarantinedComponent {
-                    jobs: comp.jobs.clone(),
-                    failure: f.clone(),
-                });
+                stitch.quarantine(comp, f.clone());
                 live_quarantine.push(ckey);
                 continue;
             }
@@ -439,59 +415,37 @@ impl IncrementalSolver {
             let skey = component_signature(&inst, &runs, comp);
             let entry = self.shape_cache.get(&skey);
             let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
-            let (sol, pivots, warm_hit, snapshot) =
-                match supervised_solve(&lp, &sopts.snapshots(pool), LP_METRICS) {
-                    Ok(sr) => {
-                        if !pool.is_empty() {
-                            report.warm_attempts += 1;
-                            let reference = entry.map(|e| e.reference_pivots).unwrap_or(0);
-                            record_warm_attempt(sr.warm_hit, reference, sr.stats.pivots);
-                            if sr.warm_hit {
-                                report.warm_hits += 1;
-                            }
-                        }
-                        (sr.solution, sr.stats.pivots, sr.warm_hit, sr.snapshot)
-                    }
-                    Err(f) => {
-                        record_quarantine();
-                        quarantined.push(QuarantinedComponent {
-                            jobs: comp.jobs.clone(),
-                            failure: f.clone(),
-                        });
-                        live_quarantine.push(ckey.clone());
-                        self.quarantine.insert(ckey, f);
-                        continue;
-                    }
-                };
-            match sol.status {
-                LpStatus::Optimal => {}
-                LpStatus::Infeasible => {
-                    return Err(SolveError::Model(Error::Infeasible(
-                        "LP1 infeasible: no schedule exists".into(),
-                    )))
+            let sr = match supervised_solve(&lp, &sopts.snapshots(pool), LP_METRICS) {
+                Ok(sr) => sr,
+                Err(f) => {
+                    record_quarantine();
+                    stitch.quarantine(comp, f.clone());
+                    live_quarantine.push(ckey.clone());
+                    self.quarantine.insert(ckey, f);
+                    continue;
                 }
-                LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
-            }
-            if !warm_hit {
-                report.cold_solves += 1;
-            }
-            let block = CachedBlock {
-                y_runs: sol.x[..n_runs].to_vec(),
-                objective: sol.objective,
             };
-            y_runs[comp.run_lo..comp.run_hi].copy_from_slice(&block.y_runs);
-            objective = objective.add(&block.objective);
-            healthy.push((ci, block.objective));
+            if !pool.is_empty() {
+                warm_attempts += 1;
+                let reference = entry.map(|e| e.reference_pivots).unwrap_or(0);
+                record_warm_attempt(sr.warm_hit, reference, sr.stats.pivots);
+                if sr.warm_hit {
+                    warm_hits += 1;
+                }
+            }
+            let block = finish_component(comp, sr.solution).map_err(SolveError::Model)?;
+            stitch.place(ci, comp, &block);
             self.content_cache.insert(ckey, block);
             // Only cold-resolved snapshots enrich the shape pool: a warm
             // hit terminated at (or near) a vertex the pool already
             // covers, so pushing it would fill the capped pool with
             // duplicates and crowd out genuinely new vertices.
-            if !warm_hit {
-                if let Some(s) = snapshot {
+            if !sr.warm_hit {
+                cold_solves += 1;
+                if let Some(s) = sr.snapshot {
                     let entry = self.shape_cache.entry(skey).or_insert_with(|| ShapeEntry {
                         snapshots: Vec::new(),
-                        reference_pivots: pivots,
+                        reference_pivots: sr.stats.pivots,
                     });
                     if entry.snapshots.len() < SNAPSHOT_POOL_CAP {
                         entry.snapshots.push(s);
@@ -505,7 +459,8 @@ impl IncrementalSolver {
         self.quarantine.retain(|k, _| live_quarantine.contains(k));
         // Periodic compaction: fold the journal into a fresh checkpoint of
         // the post-solve state (partial solves included — their healthy
-        // blocks are cache content worth persisting).
+        // blocks are cache content worth persisting, and stay cached so
+        // the solver keeps serving them on every later call).
         if self
             .store
             .as_ref()
@@ -513,18 +468,14 @@ impl IncrementalSolver {
         {
             self.checkpoint_now();
         }
-        if !quarantined.is_empty() {
-            healthy.sort_unstable_by_key(|&(ci, _)| ci);
-            // Healthy blocks (including the ones just solved) stay cached,
-            // so the solver keeps serving them on every later call.
-            return Err(SolveError::Partial(PartialSolve {
-                healthy_objective: objective,
-                healthy,
-                quarantined,
-            }));
-        }
-        report.lp = ActiveLp::from_runs(runs, y_runs, objective);
-        Ok(report)
+        Ok(IncrementalReport {
+            lp: stitch.finish(runs)?,
+            components: comps.len(),
+            reused,
+            warm_attempts,
+            warm_hits,
+            cold_solves,
+        })
     }
 
     /// Process-wide LP telemetry snapshot, re-exported for driver callers

@@ -11,8 +11,7 @@
 //! * [`rounding`] — the LP-rounding 2-approximation (Theorem 2), on top of
 //!   [`lp_model`] (the `LP1` relaxation, solved with exact rationals,
 //!   sharded along interval-graph components under
-//!   [`DecomposeMode::Auto`], with warm-started sibling batching under
-//!   [`WarmMode::Batch`]) and [`right_shift`](mod@right_shift) (§3.1
+//!   [`DecomposeMode::Auto`]) and [`right_shift`](mod@right_shift) (§3.1
 //!   preprocessing).
 //! * [`incremental`] — the warm-started incremental re-solve driver for
 //!   mutating instances / online arrival streams
@@ -77,7 +76,7 @@ pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, solve_active_lp, solve_active_lp_with,
     try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions, LpTelemetry, RunSlots, RunY,
-    SlotRun, WarmMode,
+    SlotRun,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

@@ -71,24 +71,15 @@
 //! component LPs reuses its scratch buffers instead of churning the global
 //! allocator.
 //!
-//! # Warm-started sibling batching
+//! # Warm starts
 //!
-//! On the families that shard well the components are often
-//! *near-identical* — nested windows and arrival streams repeat the same
-//! window layouts with different job lengths. Under [`WarmMode::Batch`]
-//! the sharded solve runs a **batch planner**: components are grouped by
-//! structural signature (run count + per-job relative run spans — equal
-//! signatures build LPs with identical standard-form structure), one
-//! representative per group solves cold, and the siblings warm-start from
-//! a per-group [`abt_lp::BasisSnapshot`] pool seeded by the
-//! representative and grown by every cold-resolved miss (offered through
-//! [`abt_lp::SolveOptions::snapshots`]). Siblings run in parallel waves so the
-//! pool growth stays deterministic — warm pivot counts are exactly
-//! reproducible run to run. Warm answers are certified in exact rationals
-//! like cold ones, so `Batch` never changes an objective; cold
-//! [`WarmMode::Off`] remains the default and the differential oracle
-//! (E22 measures the pivot-effort reduction). The incremental re-solve
-//! driver for *mutating* instances lives in [`crate::incremental`].
+//! A from-scratch solve here is always cold. Warm starts have one driver,
+//! the incremental re-solver of [`crate::incremental`]: it caches a
+//! [`abt_lp::BasisSnapshot`] pool per component shape (a structural
+//! signature of its window layout) and offers it to later solves of components
+//! with that shape. Warm answers are certified in exact rationals like
+//! cold ones, so they never change an objective (E22 measures the
+//! pivot-effort reduction).
 //!
 //! # Solve backends
 //!
@@ -121,11 +112,9 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    ladder_metrics, supervised_solve, BasisSnapshot, BoundedOptions, CertifyMode, Cmp,
-    LadderMetrics, LpProblem, LpSolution, LpStatus, Rat, SolveOptions, SolverBackend,
-    DEFAULT_PRICING_WINDOW,
+    ladder_metrics, supervised_solve, BoundedOptions, CertifyMode, Cmp, LadderMetrics, LpProblem,
+    LpSolution, LpStatus, Rat, SolveOptions, SolverBackend, DEFAULT_PRICING_WINDOW,
 };
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -140,24 +129,6 @@ pub enum DecomposeMode {
     /// than one component, solving them through
     /// [`abt_core::parallel_map`] and stitching the results exactly.
     Auto,
-}
-
-/// Whether a sharded solve batches *similar* component sub-LPs into
-/// warm-started sibling solves (see the module docs and
-/// [`abt_lp::warm`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmMode {
-    /// Every component solves cold (the pre-warm-start behaviour and the
-    /// differential oracle).
-    Off,
-    /// Components are grouped by structural signature; one representative
-    /// per group solves cold and its [`abt_lp::BasisSnapshot`] seeds the
-    /// siblings' warm solves (a growing per-group snapshot pool keeps the
-    /// hit rate high). Exact objectives are unchanged — warm answers are
-    /// certified in rationals like cold ones. Only the
-    /// [`SolverBackend::Revised`] backend warm-starts; under the dense
-    /// backends every sibling solves cold.
-    Batch,
 }
 
 /// Model/solver configuration for [`solve_active_lp_with`].
@@ -175,10 +146,6 @@ pub struct LpOptions {
     pub pricing_window: usize,
     /// Interval-graph component sharding. Default: [`DecomposeMode::Auto`].
     pub decompose: DecomposeMode,
-    /// Warm-started sibling batching of the sharded solves. Default:
-    /// [`WarmMode::Off`] (the cold path stays the shipping default and the
-    /// perf baseline; [`LpOptions::warm_batched`] turns batching on).
-    pub warm: WarmMode,
     /// Basis-changing pivot budget per revised solve attempt (`0` =
     /// unlimited, the default). A trip surfaces as a typed
     /// `BudgetExceeded` failure and demotes the solve down the
@@ -203,7 +170,6 @@ impl Default for LpOptions {
             coalesce: true,
             pricing_window: DEFAULT_PRICING_WINDOW,
             decompose: DecomposeMode::Auto,
-            warm: WarmMode::Off,
             pivot_budget: 0,
             time_budget_ms: 0,
             certify: CertifyMode::IntervalThenExact,
@@ -236,12 +202,6 @@ impl LpOptions {
         self
     }
 
-    /// Sets warm-started sibling batching.
-    pub fn warm(mut self, warm: WarmMode) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Sets the per-attempt pivot budget (`0` = unlimited).
     pub fn pivot_budget(mut self, budget: u64) -> Self {
         self.pivot_budget = budget;
@@ -259,13 +219,6 @@ impl LpOptions {
     pub fn certify(mut self, certify: CertifyMode) -> Self {
         self.certify = certify;
         self
-    }
-
-    /// The warm-batched configuration: the default sharded solve plus
-    /// [`WarmMode::Batch`] sibling batching. Cold [`LpOptions::default`]
-    /// is its differential oracle and perf baseline (E22).
-    pub fn warm_batched() -> Self {
-        LpOptions::default().warm(WarmMode::Batch)
     }
 }
 
@@ -287,8 +240,8 @@ struct LpMetrics {
     /// High-water gauge of the largest component sub-LP's variable count
     /// (sharded solves only).
     max_component_vars: &'static Gauge,
-    /// Solves that were *offered* a warm-start snapshot (batched
-    /// siblings and incremental re-solves).
+    /// Solves that were *offered* a warm-start snapshot (incremental
+    /// re-solves).
     warm_attempts: &'static Counter,
     /// Warm attempts that installed and verified warm.
     warm_hits: &'static Counter,
@@ -384,14 +337,13 @@ pub struct LpTelemetry {
     /// (monotone). [`LpTelemetry::delta`] uses it to decide whether the
     /// window established a new high water; not meaningful on its own.
     pub max_component_raises: u64,
-    /// Solves offered a warm-start snapshot ([`WarmMode::Batch`] siblings
-    /// and [`crate::incremental::IncrementalSolver`] re-solves).
+    /// Solves offered a warm-start snapshot
+    /// ([`crate::incremental::IncrementalSolver`] re-solves).
     pub warm_attempts: u64,
     /// Warm attempts that installed and certified warm.
     pub warm_hits: u64,
     /// Pivots saved by warm hits versus each hit's cold reference solve
-    /// (the group representative / the shape's first cold solve), floored
-    /// at zero per solve.
+    /// (the shape's first cold solve), floored at zero per solve.
     pub warm_pivots_saved: u64,
     /// Failure-driven supervision-ladder demotions (warm → cold revised →
     /// dense hybrid → dense exact; see [`crate::supervise`]). Zero on
@@ -534,8 +486,8 @@ pub(crate) fn record_admission_reject() {
 
 /// Records one warm-start attempt into the process-wide telemetry: whether
 /// it hit, and (for hits) the pivots saved against `reference_pivots` —
-/// the cold pivot count of the solve the snapshot came from. Used by the
-/// batch planner below and by [`crate::incremental::IncrementalSolver`].
+/// the cold pivot count of the solve the snapshot came from. Used by
+/// [`crate::incremental::IncrementalSolver`].
 pub(crate) fn record_warm_attempt(hit: bool, reference_pivots: u64, warm_pivots: u64) {
     let m = met();
     m.warm_attempts.inc();
@@ -842,12 +794,12 @@ pub(crate) fn components(inst: &Instance, runs: &[SlotRun], mode: DecomposeMode)
     out
 }
 
-/// One component's solved block: per-run `Y` over `[run_lo, run_hi)` plus
-/// the exact objective contribution.
-struct ComponentSolution {
-    run_lo: usize,
-    y_runs: Vec<Rat>,
-    objective: Rat,
+/// One component's solved block: per-run `Y` over the component's run
+/// range plus its exact objective contribution.
+#[derive(Clone)]
+pub(crate) struct ComponentBlock {
+    pub(crate) y_runs: Vec<Rat>,
+    pub(crate) objective: Rat,
 }
 
 /// Builds one component's LP1 block. Variable layout: the `Y` variables
@@ -920,19 +872,19 @@ pub(crate) fn build_component_lp(
     lp
 }
 
-/// Converts a solved component LP into its [`ComponentSolution`] block
-/// (the `Y` values are the first `n_runs` variables by construction).
-fn finish_component(
-    comp: &Component,
-    n_runs: usize,
-    sol: LpSolution<Rat>,
-) -> Result<ComponentSolution> {
+/// Converts a solved component LP into its [`ComponentBlock`] (the `Y`
+/// values are the first `n_runs` variables by construction); LP1
+/// infeasibility is the one model-level verdict.
+pub(crate) fn finish_component(comp: &Component, sol: LpSolution<Rat>) -> Result<ComponentBlock> {
     match sol.status {
-        LpStatus::Optimal => Ok(ComponentSolution {
-            run_lo: comp.run_lo,
-            y_runs: sol.x[..n_runs].to_vec(),
-            objective: sol.objective,
-        }),
+        LpStatus::Optimal => {
+            let mut y_runs = sol.x;
+            y_runs.truncate(comp.run_hi - comp.run_lo);
+            Ok(ComponentBlock {
+                y_runs,
+                objective: sol.objective,
+            })
+        }
         LpStatus::Infeasible => Err(Error::Infeasible(
             "LP1 infeasible: no schedule exists".into(),
         )),
@@ -940,10 +892,67 @@ fn finish_component(
     }
 }
 
+/// The exact stitch shared by [`try_solve_active_lp_with`] and
+/// [`crate::incremental::IncrementalSolver::try_solve`]: places each
+/// component's per-run `Y` block on its global run range (runs outside
+/// every component keep `Y = 0`), sums objectives exactly, and collects
+/// quarantined components into a [`SolveError::Partial`].
+pub(crate) struct Stitch {
+    y_runs: Vec<Rat>,
+    objective: Rat,
+    healthy: Vec<(usize, Rat)>,
+    quarantined: Vec<QuarantinedComponent>,
+}
+
+impl Stitch {
+    /// An empty stitch over `n_runs` slot runs.
+    pub(crate) fn new(n_runs: usize) -> Stitch {
+        Stitch {
+            y_runs: vec![Rat::ZERO; n_runs],
+            objective: Rat::ZERO,
+            healthy: Vec::new(),
+            quarantined: Vec::new(),
+        }
+    }
+
+    /// Places the block of component `ci`.
+    pub(crate) fn place(&mut self, ci: usize, comp: &Component, block: &ComponentBlock) {
+        self.y_runs[comp.run_lo..comp.run_hi].copy_from_slice(&block.y_runs);
+        self.objective = self.objective.add(&block.objective);
+        self.healthy.push((ci, block.objective));
+    }
+
+    /// Records a component whose supervision ladder failed.
+    pub(crate) fn quarantine(&mut self, comp: &Component, failure: SolveFailure) {
+        self.quarantined.push(QuarantinedComponent {
+            jobs: comp.jobs.clone(),
+            failure,
+        });
+    }
+
+    /// The stitched LP1 optimum over `runs` — or, when any component was
+    /// quarantined, the partial result with the healthy blocks in
+    /// component order.
+    pub(crate) fn finish(
+        mut self,
+        runs: Vec<SlotRun>,
+    ) -> std::result::Result<ActiveLp, SolveError> {
+        if !self.quarantined.is_empty() {
+            self.healthy.sort_unstable_by_key(|&(ci, _)| ci);
+            return Err(SolveError::Partial(PartialSolve {
+                healthy_objective: self.objective,
+                healthy: self.healthy,
+                quarantined: self.quarantined,
+            }));
+        }
+        Ok(ActiveLp::from_runs(runs, self.y_runs, self.objective))
+    }
+}
+
 /// One supervised component outcome: the outer `Err` is a quarantine
 /// (every ladder rung failed — see [`crate::supervise`]), the inner `Err`
 /// a model-level verdict (LP1 infeasibility) that aborts the whole solve.
-type ComponentOutcome = std::result::Result<Result<ComponentSolution>, SolveFailure>;
+type ComponentOutcome = std::result::Result<Result<ComponentBlock>, SolveFailure>;
 
 /// Builds and solves one component's LP1 block down the supervision
 /// ladder (the cold path).
@@ -959,7 +968,7 @@ fn solve_component(
         met().max_component_vars.record_max(lp.num_vars() as u64);
     }
     let sol = supervised_solve(&lp, &solve_options(opts), LP_METRICS)?.solution;
-    Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
+    Ok(finish_component(comp, sol))
 }
 
 /// A component's structural signature: run count plus, per member job (in
@@ -968,7 +977,7 @@ fn solve_component(
 /// same instance-wide `g`) build LPs with **identical standard-form
 /// structure** — same variable layout, same row sparsity pattern, same
 /// VUB families — differing only in data (run widths, job lengths), which
-/// is exactly what a [`BasisSnapshot`] can bridge.
+/// is exactly what a [`abt_lp::BasisSnapshot`] can bridge.
 pub(crate) type ComponentSignature = (usize, Vec<(usize, usize)>);
 
 /// Computes the [`ComponentSignature`] of `comp` over `runs`.
@@ -991,141 +1000,11 @@ pub(crate) fn component_signature(
     (crange.len(), spans)
 }
 
-/// Per-signature snapshot pool cap of the batch planner (and of the
-/// incremental solver's shape cache): small enough that a miss sweep
-/// stays cheap, large enough to cover the handful of distinct optimal
-/// vertices a family's siblings land on.
+/// Per-shape snapshot pool cap of the incremental solver's shape cache
+/// (and of the pools a persisted state directory may restore): small
+/// enough that a miss sweep stays cheap, large enough to cover the
+/// handful of distinct optimal vertices a shape's components land on.
 pub(crate) const SNAPSHOT_POOL_CAP: usize = 8;
-
-/// Sibling wave sizes of the batch planner: the first wave per group is
-/// [`FIRST_WAVE`] members, doubling up to [`MAX_WAVE`]. Waves trade a
-/// little wall-clock batching latency for a growing snapshot pool: every
-/// sibling in wave `k` sees the snapshots contributed by waves `< k`
-/// (cold-resolved misses included), which lifts the hit rate far above
-/// what the lone representative snapshot achieves — and starting small
-/// fills the pool after only a handful of solves, so the bulk of the
-/// group already sees a diverse candidate set. Pool growth is
-/// deterministic — contributions are appended in sibling order, so pivot
-/// counts are exactly reproducible run to run.
-const FIRST_WAVE: usize = 4;
-/// Cap on the doubling wave size (see [`FIRST_WAVE`]).
-const MAX_WAVE: usize = 32;
-
-/// The batch planner ([`WarmMode::Batch`]): groups components by
-/// [`ComponentSignature`], solves one representative per group cold, and
-/// warm-starts the siblings from a per-group snapshot pool seeded by the
-/// representative and grown by every subsequent cold-resolved miss.
-/// Returns the component solutions in `comps` order. Exactness is
-/// untouched: warm or cold, every answer is certified in rationals.
-fn solve_components_batched(
-    inst: &Instance,
-    opts: &LpOptions,
-    runs: &[SlotRun],
-    comps: &[Component],
-) -> Vec<ComponentOutcome> {
-    let sopts = solve_options(opts);
-    let mut groups: BTreeMap<ComponentSignature, Vec<usize>> = BTreeMap::new();
-    for (ci, comp) in comps.iter().enumerate() {
-        groups
-            .entry(component_signature(inst, runs, comp))
-            .or_default()
-            .push(ci);
-    }
-    let group_members: Vec<Vec<usize>> = groups.into_values().collect();
-    // Phase A — representatives (the first member of each group) solve
-    // cold, in parallel across groups, each under the supervision ladder.
-    let rep_ids: Vec<usize> = group_members.iter().map(|g| g[0]).collect();
-    type RepOutcome = (Result<ComponentSolution>, Option<BasisSnapshot>, u64);
-    let rep_outs: Vec<std::result::Result<RepOutcome, SolveFailure>> =
-        supervised_map(rep_ids, |ci| {
-            let comp = &comps[ci];
-            let lp = build_component_lp(inst, runs, comp);
-            met().max_component_vars.record_max(lp.num_vars() as u64);
-            let sr = supervised_solve(&lp, &sopts, LP_METRICS)?;
-            let pivots = sr.stats.pivots;
-            Ok((
-                finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
-                sr.snapshot,
-                pivots,
-            ))
-        });
-    let mut out: Vec<Option<ComponentOutcome>> = (0..comps.len()).map(|_| None).collect();
-    // Phase B — siblings, in parallel waves per group. Waves across groups
-    // run in one fan-out so small groups don't serialize the sweep. A
-    // quarantined representative leaves its group's pool empty — the
-    // siblings still solve (cold, supervised), only the warm seeding is
-    // lost.
-    let mut pools: Vec<(Vec<BasisSnapshot>, u64)> = Vec::with_capacity(group_members.len());
-    for (members, rep) in group_members.iter().zip(rep_outs) {
-        let mut pool = Vec::new();
-        let mut pivots = 0;
-        out[members[0]] = Some(match rep {
-            Ok((sol, snap, rep_pivots)) => {
-                pool.extend(snap);
-                pivots = rep_pivots;
-                Ok(sol)
-            }
-            Err(f) => Err(f),
-        });
-        pools.push((pool, pivots));
-    }
-    let mut offset = 1usize; // member index within each group
-    let mut wave_len = FIRST_WAVE;
-    loop {
-        // One wave: up to `wave_len` further members of every group.
-        let mut batch: Vec<(usize, usize)> = Vec::new(); // (comp idx, group idx)
-        for (gi, members) in group_members.iter().enumerate() {
-            for &ci in members.iter().skip(offset).take(wave_len) {
-                batch.push((ci, gi));
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        let pools_ref = &pools;
-        // Per sibling: its solved block and — for misses — the snapshot it
-        // contributes to the pool.
-        type SiblingOutcome = (Result<ComponentSolution>, Option<BasisSnapshot>);
-        let wave_outs: Vec<std::result::Result<SiblingOutcome, SolveFailure>> =
-            supervised_map(batch.clone(), |(ci, gi)| {
-                let comp = &comps[ci];
-                let lp = build_component_lp(inst, runs, comp);
-                met().max_component_vars.record_max(lp.num_vars() as u64);
-                let (pool, rep_pivots) = &pools_ref[gi];
-                let sr = supervised_solve(&lp, &sopts.snapshots(pool), LP_METRICS)?;
-                // An empty pool (e.g. the representative fell back to the
-                // dense exact solver) means the sibling was never *offered*
-                // a snapshot — don't count a phantom attempt.
-                if !pool.is_empty() {
-                    record_warm_attempt(sr.warm_hit, *rep_pivots, sr.stats.pivots);
-                }
-                let contribute = if sr.warm_hit { None } else { sr.snapshot };
-                Ok((
-                    finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
-                    contribute,
-                ))
-            });
-        for ((ci, gi), res) in batch.into_iter().zip(wave_outs) {
-            out[ci] = Some(match res {
-                Ok((sol, contribute)) => {
-                    if let Some(s) = contribute {
-                        let pool = &mut pools[gi].0;
-                        if pool.len() < SNAPSHOT_POOL_CAP {
-                            pool.push(s);
-                        }
-                    }
-                    Ok(sol)
-                }
-                Err(f) => Err(f),
-            });
-        }
-        offset += wave_len;
-        wave_len = (wave_len * 2).min(MAX_WAVE);
-    }
-    out.into_iter()
-        .map(|s| s.expect("every component solved"))
-        .collect()
-}
 
 /// Builds and solves `LP1` for `inst` with the default options
 /// (coalesced super-slots, implicit bounds and VUBs, bounded revised
@@ -1173,12 +1052,7 @@ pub fn try_solve_active_lp_with(
         met().sharded_solves.inc();
         met().components.add(comps.len() as u64);
     }
-    // Warm batching applies to sharded solves (the dense backends produce
-    // no snapshots, so their siblings simply solve cold).
-    let batch = sharded && opts.warm == WarmMode::Batch;
-    let solved: Vec<ComponentOutcome> = if batch {
-        solve_components_batched(inst, opts, &runs, &comps)
-    } else if sharded {
+    let solved: Vec<ComponentOutcome> = if sharded {
         // The outer `supervised_map` additionally isolates panics raised
         // *outside* the ladder (e.g. while building the component LP).
         supervised_map((0..comps.len()).collect::<Vec<_>>(), |ci| {
@@ -1190,41 +1064,19 @@ pub fn try_solve_active_lp_with(
             .map(|comp| solve_component(inst, opts, &runs, comp, false))
             .collect()
     };
-    // Stitch: per-run Y values land back on their global run index (runs
-    // outside every component keep Y = 0), objectives sum exactly;
-    // quarantined components are collected into the partial result.
     let _stitch = abt_core::obs_span!("solve.stitch");
-    let mut y_runs = vec![Rat::ZERO; runs.len()];
-    let mut objective = Rat::ZERO;
-    let mut healthy: Vec<(usize, Rat)> = Vec::new();
-    let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
+    let mut stitch = Stitch::new(runs.len());
     for (ci, res) in solved.into_iter().enumerate() {
         match res {
-            Ok(Ok(cs)) => {
-                for (k, val) in cs.y_runs.iter().enumerate() {
-                    y_runs[cs.run_lo + k] = *val;
-                }
-                objective = objective.add(&cs.objective);
-                healthy.push((ci, cs.objective));
-            }
+            Ok(Ok(block)) => stitch.place(ci, &comps[ci], &block),
             Ok(Err(e)) => return Err(SolveError::Model(e)),
             Err(f) => {
                 record_quarantine();
-                quarantined.push(QuarantinedComponent {
-                    jobs: comps[ci].jobs.clone(),
-                    failure: f,
-                });
+                stitch.quarantine(&comps[ci], f);
             }
         }
     }
-    if !quarantined.is_empty() {
-        return Err(SolveError::Partial(PartialSolve {
-            healthy_objective: objective,
-            healthy,
-            quarantined,
-        }));
-    }
-    Ok(ActiveLp::from_runs(runs, y_runs, objective))
+    stitch.finish(runs)
 }
 
 /// Checks whether a *fractional* assignment exists for all jobs given fixed
@@ -1287,9 +1139,8 @@ mod tests {
         LpOptions::default().decompose(DecomposeMode::Off)
     }
 
-    /// A grid over backends × model shape × decomposition × pricing ×
-    /// warm batching.
-    fn all_options() -> [LpOptions; 10] {
+    /// A grid over backends × model shape × decomposition × pricing.
+    fn all_options() -> [LpOptions; 9] {
         [
             oracle(),
             LpOptions::default().backend(SolverBackend::DenseExact),
@@ -1305,7 +1156,6 @@ mod tests {
             monolithic().pricing_window(0),
             // Sharding on the per-slot (uncoalesced) model.
             LpOptions::default().coalesce(false),
-            LpOptions::warm_batched(),
             LpOptions::default(),
         ]
     }
@@ -1609,41 +1459,6 @@ mod tests {
         assert_eq!(comps[0].run_lo, 0);
         assert_eq!(comps[0].run_hi, runs.len());
         assert_eq!(comps[0].jobs, vec![0, 1]);
-    }
-
-    #[test]
-    fn warm_batched_matches_cold_and_records_telemetry() {
-        // Six identically-shaped singleton stripes with distinct lengths:
-        // the batch planner groups them into one signature group, solves
-        // the first cold, and warm-starts the other five.
-        let triples: Vec<(i64, i64, i64)> =
-            (0..6).map(|k| (10 * k, 10 * k + 6, 1 + k % 4)).collect();
-        let inst = Instance::from_triples(triples, 2).unwrap();
-        let before = lp_telemetry();
-        let warm = solve_active_lp_with(&inst, &LpOptions::warm_batched()).unwrap();
-        let d = lp_telemetry().delta(&before);
-        let cold = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        assert_eq!(warm.objective, cold.objective, "warm ≡ cold, bit for bit");
-        assert_eq!(warm.y.len(), cold.y.len());
-        assert!(
-            d.warm_attempts >= 5,
-            "five siblings attempted, got {}",
-            d.warm_attempts
-        );
-        assert!(d.warm_hits >= 1, "identically-shaped siblings must hit");
-        assert!(d.warm_hits <= d.warm_attempts);
-    }
-
-    #[test]
-    fn warm_batched_on_connected_instance_is_plain_monolithic() {
-        // One component: batching never engages (nothing to group), and
-        // the answer matches the default path exactly. (No exact-zero
-        // telemetry assertions: the counters are process-global atomics
-        // and sibling tests solve sharded instances concurrently.)
-        let inst = Instance::from_triples([(0, 4, 2), (2, 8, 3), (6, 12, 2)], 2).unwrap();
-        let warm = solve_active_lp_with(&inst, &LpOptions::warm_batched()).unwrap();
-        let cold = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        assert_eq!(warm.objective, cold.objective);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   exists; the implementation still carries a defensive fallback that
 //!   opens the slot and flags the ledger (`anomalies`), plus a final
 //!   feasibility repair (`repair_slots`). The fallback stays 0 across the
-//!   test and experiment suite; the repair fires on a few larger random
-//!   instances (n = 200), where it binary-searches the number of latest
-//!   unopened slots to add.
+//!   test and experiment suite. The repair does fire on some random
+//!   instances, large (n = 200) and small alike — the 11-job instance of
+//!   the `repair_fires_on_a_small_random_instance` test is one — where it
+//!   binary-searches the number of latest unopened slots to add.
 //!
 //! All of it works on intervals, never on the horizon slot by slot: the
 //! opened set is a [`SlotSet`] of one block per segment plus single
@@ -554,6 +555,37 @@ mod tests {
                 .unwrap();
         let out = check(&inst);
         assert!(out.cost >= 2);
+    }
+
+    #[test]
+    fn repair_fires_on_a_small_random_instance() {
+        // `abt_workloads::random_active_feasible` with `RandomConfig { n:
+        // 12, g: 5, horizon: 24, max_len: 12, slack_factor: 1.0 }` and
+        // seed 317: the charging leaves the opened set infeasible and the
+        // final repair adds a slot, yet the schedule stays within 2·LP.
+        let inst = Instance::from_triples(
+            [
+                (4, 23, 8),
+                (0, 13, 11),
+                (4, 19, 8),
+                (9, 20, 6),
+                (14, 15, 1),
+                (7, 13, 3),
+                (7, 22, 6),
+                (18, 22, 3),
+                (0, 15, 9),
+                (0, 16, 8),
+                (8, 24, 9),
+            ],
+            5,
+        )
+        .unwrap();
+        let out = lp_rounding(&inst).unwrap();
+        out.schedule.validate(&inst).unwrap();
+        assert!(out.within_two_lp(), "cost {} > 2·LP", out.cost);
+        assert_eq!(out.lp_objective, rat(77, 5));
+        let exact = crate::exact::exact_active_time(&inst, None).unwrap();
+        assert_eq!(exact.slots.len(), 16);
     }
 
     #[test]

@@ -53,10 +53,10 @@
 //! writes it already acknowledged. [`SolveStateStore::degraded`] reports
 //! it.
 
-use crate::incremental::{CachedBlock, ContentKey, ShapeEntry};
+use crate::incremental::{ContentKey, ShapeEntry};
 use crate::lp_model::{
-    record_persist_restores, record_recovery, record_state_corrupt, ComponentSignature,
-    SNAPSHOT_POOL_CAP,
+    record_persist_restores, record_recovery, record_state_corrupt, ComponentBlock,
+    ComponentSignature, SNAPSHOT_POOL_CAP,
 };
 use abt_core::persist::{self, Dec, Enc, Journal, PersistError, StateDir};
 use abt_core::{BudgetKind, Job, SolveFailure, Time};
@@ -198,7 +198,7 @@ pub(crate) struct PersistedState {
     /// Job slots, dead handles included (handle = index).
     pub(crate) jobs: Vec<Option<Job>>,
     /// Content-keyed cache blocks.
-    pub(crate) blocks: Vec<(ContentKey, CachedBlock)>,
+    pub(crate) blocks: Vec<(ContentKey, ComponentBlock)>,
     /// Shape-keyed snapshot pools.
     pub(crate) shapes: Vec<(ComponentSignature, ShapeEntry)>,
     /// Quarantined content keys with their root-cause failures.
@@ -288,7 +288,7 @@ pub(crate) fn encode_state(
     g: usize,
     seq: u64,
     jobs: &[Option<Job>],
-    blocks: &HashMap<ContentKey, CachedBlock>,
+    blocks: &HashMap<ContentKey, ComponentBlock>,
     shapes: &HashMap<ComponentSignature, ShapeEntry>,
     quarantine: &HashMap<ContentKey, SolveFailure>,
 ) -> Vec<u8> {
@@ -378,7 +378,7 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<PersistedState, PersistErro
             y_runs.push(decode_rat(&mut d)?);
         }
         let objective = decode_rat(&mut d)?;
-        blocks.push((key, CachedBlock { y_runs, objective }));
+        blocks.push((key, ComponentBlock { y_runs, objective }));
     }
     let nshapes = d.count(1)?;
     let mut shapes = Vec::with_capacity(nshapes);
@@ -642,7 +642,7 @@ impl SolveStateStore {
 
 /// Re-encodes a decoded state (recovery's re-baseline checkpoint).
 fn encode_state_from_vecs(s: &PersistedState) -> Vec<u8> {
-    let blocks: HashMap<ContentKey, CachedBlock> = s
+    let blocks: HashMap<ContentKey, ComponentBlock> = s
         .blocks
         .iter()
         .map(|(k, b)| (k.clone(), b.clone()))
@@ -830,7 +830,7 @@ mod tests {
         let mut blocks = HashMap::new();
         blocks.insert(
             vec![(0i64, 4i64, 2i64)],
-            CachedBlock {
+            ComponentBlock {
                 y_runs: vec![Rat::new(1, 2), Rat::new(3, 4)],
                 objective: Rat::new(5, 4),
             },

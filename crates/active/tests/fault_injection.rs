@@ -32,42 +32,91 @@ fn striped_instance() -> Instance {
     Instance::from_triples(triples, 2).unwrap()
 }
 
+/// Arms failpoints in three layers: the pivot loop, FTRAN, and the
+/// certifier.
+fn arm_three_layers() {
+    faultinject::configure("panic_in_pivot", FaultSpec::panic_every(4));
+    faultinject::configure("panic_in_ftran", FaultSpec::panic_every(7));
+    faultinject::configure("slow_certify", FaultSpec::delay_nth(3, 1));
+}
+
+/// Replays an arrival stream whose clusters repeat two window templates
+/// with fresh job lengths through an [`IncrementalSolver`]: the first
+/// half fault-free, so cold solves seed the shape cache with snapshots,
+/// then — with `armed`, under [`arm_three_layers`] — the second half,
+/// whose clusters re-solve warm. Returns the final exact objective. (A
+/// replay of [`striped_instance`] would never reach the warm rung: its
+/// stripes are content-identical, so the content cache serves every
+/// stripe after the first without a solve.)
+fn incremental_replay(armed: bool) -> abt_lp::Rat {
+    let cfg = OnlineArrivalsConfig {
+        clusters: 6,
+        jobs_per_cluster: 3,
+        templates: 2,
+        g: 2,
+        span: 12,
+        gap: 3,
+        max_len: 3,
+    };
+    let jobs = online_arrivals(&cfg, 17).jobs;
+    let (warmup, rest) = jobs.split_at(jobs.len() / 2);
+    let mut solver = IncrementalSolver::new(cfg.g).unwrap();
+    for job in warmup {
+        solver.add_job(*job);
+        solver.solve().unwrap();
+    }
+    if armed {
+        arm_three_layers();
+    }
+    let mut objective = None;
+    for job in rest {
+        solver.add_job(*job);
+        objective = Some(solver.solve().unwrap().lp.objective);
+    }
+    objective.expect("the stream is not empty")
+}
+
 /// Tentpole differential: with failpoints firing in three layers (pivot
-/// loop, FTRAN, certifier), the sharded and warm-batched solves complete
-/// without abort and return objectives bit-identical to the fault-free
-/// runs — demotions absorb every injected fault, nothing quarantines.
+/// loop, FTRAN, certifier), the sharded solve and an incremental replay
+/// (whose re-solves run the warm rung) complete without abort and return
+/// objectives bit-identical to the fault-free runs — demotions absorb
+/// every injected fault, nothing quarantines.
 #[test]
 fn intermittent_faults_in_three_layers_demote_but_stay_bit_identical() {
     let _guard = faultinject::exclusive();
     let inst = striped_instance();
-    let modes = [LpOptions::default(), LpOptions::warm_batched()];
-    let baseline: Vec<_> = modes
-        .iter()
-        .map(|o| solve_active_lp_with(&inst, o).unwrap().objective)
-        .collect();
+    let sharded = || {
+        solve_active_lp_with(&inst, &LpOptions::default())
+            .unwrap()
+            .objective
+    };
+    let baseline = (sharded(), incremental_replay(false));
 
-    faultinject::configure("panic_in_pivot", FaultSpec::panic_every(4));
-    faultinject::configure("panic_in_ftran", FaultSpec::panic_every(7));
-    faultinject::configure("slow_certify", FaultSpec::delay_nth(3, 1));
+    obs::set_tracing(true);
+    obs::recorder::clear();
     let before = lp_telemetry();
-    for (opts, expect) in modes.iter().zip(&baseline) {
-        let lp = solve_active_lp_with(&inst, opts).unwrap();
-        assert_eq!(lp.objective, *expect, "demotion must never change answers");
-    }
+    arm_three_layers();
+    let faulted_sharded = sharded();
+    faultinject::reset();
+    let faulted = (faulted_sharded, incremental_replay(true));
+    faultinject::reset();
     let d = lp_telemetry().delta(&before);
+    let entries = obs::recorder::entries();
+    obs::set_tracing(false);
+    assert_eq!(faulted, baseline, "demotion must never change answers");
     assert!(d.demotions >= 1, "injected faults must demote");
+    assert!(d.warm_attempts >= 1, "the replay must reach the warm rung");
+    assert!(
+        entries.iter().any(|e| e.name == "supervise.demotion"
+            && e.fields.iter().any(|(k, v)| *k == "from" && v == "warm")),
+        "faults must fire inside the warm rung"
+    );
     assert_eq!(d.quarantined, 0, "the dense rungs absorb every fault");
 
     // Fault-free control: with the registry cleared, the same solves
     // record zero demotions, budget trips, and quarantines.
-    faultinject::reset();
     let before = lp_telemetry();
-    for (opts, expect) in modes.iter().zip(&baseline) {
-        assert_eq!(
-            solve_active_lp_with(&inst, opts).unwrap().objective,
-            *expect
-        );
-    }
+    assert_eq!((sharded(), incremental_replay(false)), baseline);
     let d = lp_telemetry().delta(&before);
     assert_eq!((d.demotions, d.budget_trips, d.quarantined), (0, 0, 0));
 }

@@ -1,13 +1,14 @@
-//! Differential property tests for the warm-start subsystem (PR 5):
-//! batched sibling solves (`WarmMode::Batch`) and incremental re-solves
-//! (`IncrementalSolver`) must reproduce the cold `DecomposeMode::Auto`
-//! objective **bit for bit** under every ladder backend, and the
-//! stitched per-slot `y` must remain a feasible fractional opening
-//! (certified against LP2 by the `fractional_feasible` oracle).
+//! Differential property tests for the stitched solve paths: the
+//! sharded cold solve (`DecomposeMode::Auto`) must reproduce the
+//! monolithic `DecomposeMode::Off` objective, and incremental re-solves
+//! (`IncrementalSolver`, the warm-start driver) the from-scratch one,
+//! **bit for bit** under every ladder backend; the stitched per-slot `y`
+//! must remain a feasible fractional opening (certified against LP2 by
+//! the `fractional_feasible` oracle).
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, IncrementalSolver, LpOptions, SolverBackend,
-    WarmMode,
+    fractional_feasible, solve_active_lp_with, DecomposeMode, IncrementalSolver, LpOptions,
+    SolverBackend,
 };
 use abt_lp::Rat;
 use abt_workloads::{many_components, online_arrivals, ManyComponentsConfig, OnlineArrivalsConfig};
@@ -20,29 +21,30 @@ const BACKENDS: [SolverBackend; 3] = [
     SolverBackend::Revised,
 ];
 
-/// Asserts `WarmMode::Batch` ≡ cold `Auto` on `inst` under every ladder
-/// backend, plus LP2 feasibility of the stitched `y`.
-fn assert_batch_matches_cold(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
-    let cold = solve_active_lp_with(inst, &LpOptions::default())
+/// Asserts the sharded `Auto` solve ≡ the monolithic `Off` solve on
+/// `inst` under every ladder backend, plus LP2 feasibility of the
+/// stitched `y`.
+fn assert_sharded_matches_monolith(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
+    let mono = solve_active_lp_with(inst, &LpOptions::default().decompose(DecomposeMode::Off))
         .expect("instances are feasible by construction");
     for backend in BACKENDS {
-        let opts = LpOptions::default().backend(backend).warm(WarmMode::Batch);
-        let warm = solve_active_lp_with(inst, &opts).unwrap();
-        prop_assert_eq!(warm.objective, cold.objective, "{:?}", opts);
+        let opts = LpOptions::default().backend(backend);
+        let sharded = solve_active_lp_with(inst, &opts).unwrap();
+        prop_assert_eq!(sharded.objective, mono.objective, "{:?}", opts);
         let mut sum = Rat::ZERO;
-        for y in &warm.y {
+        for y in &sharded.y {
             prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
             sum = sum.add(y);
         }
         prop_assert_eq!(
             sum,
-            cold.objective,
+            mono.objective,
             "{:?}: Σy must equal the objective",
             opts
         );
         prop_assert!(
-            fractional_feasible(inst, &warm.slots.to_vec(), &warm.y.to_vec()),
-            "{:?}: warm-batched y must be LP2-feasible",
+            fractional_feasible(inst, &sharded.slots.to_vec(), &sharded.y.to_vec()),
+            "{:?}: the stitched y must be LP2-feasible",
             opts
         );
     }
@@ -52,7 +54,7 @@ fn assert_batch_matches_cold(inst: &abt_core::Instance) -> Result<(), TestCaseEr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
-    fn warm_batched_preserves_lp1_exactly_on_online_arrivals(
+    fn sharded_solve_preserves_lp1_exactly_on_online_arrivals(
         seed in 0u64..1_000_000,
         clusters in 2usize..9,
         jobs_per in 1usize..5,
@@ -69,22 +71,21 @@ proptest! {
             max_len: 3,
         };
         let inst = online_arrivals(&cfg, seed).instance();
-        assert_batch_matches_cold(&inst)?;
+        assert_sharded_matches_monolith(&inst)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     #[test]
-    fn warm_batched_preserves_lp1_exactly_on_many_components(
+    fn sharded_solve_preserves_lp1_exactly_on_many_components(
         seed in 0u64..1_000_000,
         components in 1usize..7,
         jobs_per in 1usize..4,
         g in 1usize..4,
     ) {
-        // The block-diagonal family with *random* window slack: component
-        // shapes repeat only sometimes, so this exercises mixed
-        // hit/miss/singleton-group paths of the planner.
+        // The block-diagonal family with *random* window slack: components
+        // of mixed shapes and sizes, stitched back onto one horizon.
         let cfg = ManyComponentsConfig {
             components,
             jobs_per_component: jobs_per,
@@ -98,7 +99,7 @@ proptest! {
         if inst.jobs().is_empty() {
             return Ok(());
         }
-        assert_batch_matches_cold(&inst)?;
+        assert_sharded_matches_monolith(&inst)?;
     }
 }
 

@@ -34,7 +34,7 @@
 //! |--------------|--------|----------------------------------------------|
 //! | `id`         | string | experiment id (`e1`…); rows are matched by id across records |
 //! | `wall_ms`    | number | wall time; informational |
-//! | `speedup`    | number | optional: an experiment-defined headline ratio (`e21`'s Auto-vs-Off LP1 speedup, `e22`'s cold/warm pivot ratio); informational |
+//! | `speedup`    | number | optional: an experiment-defined headline ratio (`e21`'s Auto-vs-Off LP1 speedup, `e22`'s from-scratch/incremental pivot ratio); informational |
 //! | `busy_algos` | array  | optional: per-algorithm `{"algo", "cost", "ratio"}` objects ([`BusyAlgoRecord`]) of the busy sweeps `e24`/`e25` |
 //! | `metrics`    | object | metric name → value over the experiment's run |
 //!
@@ -143,8 +143,8 @@ pub struct ExperimentRecord {
     /// Wall time, ms.
     pub wall_ms: f64,
     /// Experiment-defined headline ratio (e.g. `e21`'s Auto-vs-Off LP1
-    /// speedup, `e22`'s cold/warm pivot-effort ratio); `None` for
-    /// experiments without one.
+    /// speedup, `e22`'s from-scratch/incremental pivot-effort ratio);
+    /// `None` for experiments without one.
     pub speedup: Option<f64>,
     /// Per-algorithm busy summaries (empty for non-busy experiments).
     pub busy_algos: Vec<BusyAlgoRecord>,

@@ -41,9 +41,14 @@
 //!
 //! 1. Solve a lossless `f64` image of the LP (coefficients in the paper's
 //!    LPs are tiny integers, exactly representable).
-//! 2. If the float solve claims `Optimal`, factor its terminal basis
-//!    *set* with a [`SparseLu`] in exact rationals (a singular proposal
-//!    fails the step) — the dense exact tableau is never re-pivoted.
+//! 2. If the float solve claims `Optimal`, hand its terminal basis to the
+//!    revised engine's exact certifier (`verify_bounded`, below): the row
+//!    encoding has no implicit bounds or VUBs, and
+//!    [`StandardForm::build`] numbers its columns exactly like the dense
+//!    tableau, so the float basis is a bounded proposal with every
+//!    nonbasic column at zero. The certifier factors the basis *set* with
+//!    a [`SparseLu`] in exact rationals (a singular proposal fails the
+//!    step) — the dense exact tableau is never re-pivoted.
 //! 3. Check, exactly: primal feasibility (`B·x_B = b` with all basic
 //!    values ≥ 0), artificials out (every basic artificial at value 0),
 //!    and dual feasibility (reduced costs of nonbasic non-artificial
@@ -51,7 +56,9 @@
 //!    discharged by the [`CertifyMode`] tier policy — the directed-
 //!    rounding interval tier first under the default, escalating to the
 //!    exact rational sweep only on straddles. Together these certify the
-//!    basis is exactly optimal.
+//!    basis is exactly optimal. Being the one certifier, it carries the
+//!    `slow_certify` failpoint and the `solve.certify` span for this rung
+//!    as for the revised engine.
 //! 4. On any failure — or a float claim of `Infeasible`/`Unbounded`, which
 //!    tolerance-based pivoting cannot certify — fall back to the pure
 //!    exact simplex. The fallback is the correctness backstop; the float
@@ -601,243 +608,6 @@ pub(crate) fn to_f64(lp: &LpProblem<Rat>) -> LpProblem<f64> {
     out
 }
 
-/// Sparse exact view of the row-encoded tableau layout of [`build`]: the
-/// same structural/slack/artificial column numbering and RHS
-/// normalization, held as sparse columns so the LU-based dense certifier
-/// never materializes (or pivots) the dense arena.
-struct SparseBuilt {
-    /// Per column: sparse `(row, value)` entries, rows ascending.
-    cols: Vec<Vec<(usize, Rat)>>,
-    /// Phase-2 cost per column (structural → objective, auxiliary → 0).
-    cost: Vec<Rat>,
-    /// Normalized (nonnegative) RHS per row.
-    rhs: Vec<Rat>,
-    is_artificial: Vec<bool>,
-    /// Per row: whether RHS normalization flipped the row (undone in the
-    /// dual read-out).
-    row_flip: Vec<bool>,
-}
-
-/// Mirrors [`build`]'s column layout — structural `0..n`, then one
-/// slack/surplus per inequality row, then artificials — as sparse exact
-/// columns. Any drift from [`build`] would desynchronize the certifier
-/// from the float pass's basis indices; the hybrid differential tests
-/// pin the two together.
-fn build_sparse(lp: &LpProblem<Rat>) -> SparseBuilt {
-    let n = lp.num_vars();
-    let m = lp.num_constraints();
-    let mut n_slack = 0;
-    let mut n_art = 0;
-    for c in lp.constraints() {
-        let sense = match (c.cmp, c.rhs.is_neg()) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => n_slack += 1,
-            Cmp::Ge => {
-                n_slack += 1;
-                n_art += 1;
-            }
-            Cmp::Eq => n_art += 1,
-        }
-    }
-    let cols_n = n + n_slack + n_art;
-    let mut cols: Vec<Vec<(usize, Rat)>> = vec![Vec::new(); cols_n];
-    let mut rhs = vec![Rat::ZERO; m];
-    let mut is_artificial = vec![false; cols_n];
-    let mut row_flip = vec![false; m];
-    let mut slack_at = n;
-    let mut art_at = n + n_slack;
-    for (i, c) in lp.constraints().iter().enumerate() {
-        let flip = c.rhs.is_neg();
-        let sgn = if flip { Rat::ONE.neg() } else { Rat::ONE };
-        row_flip[i] = flip;
-        for (v, coef) in &c.terms {
-            // Repeated variables accumulate, exactly as in the dense arena.
-            let col = &mut cols[*v];
-            match col.last_mut() {
-                Some(e) if e.0 == i => e.1 = e.1.add(&sgn.mul(coef)),
-                _ => col.push((i, sgn.mul(coef))),
-            }
-        }
-        rhs[i] = sgn.mul(&c.rhs);
-        let sense = match (c.cmp, flip) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => {
-                cols[slack_at].push((i, Rat::ONE));
-                slack_at += 1;
-            }
-            Cmp::Ge => {
-                cols[slack_at].push((i, Rat::ONE.neg()));
-                slack_at += 1;
-                cols[art_at].push((i, Rat::ONE));
-                is_artificial[art_at] = true;
-                art_at += 1;
-            }
-            Cmp::Eq => {
-                cols[art_at].push((i, Rat::ONE));
-                is_artificial[art_at] = true;
-                art_at += 1;
-            }
-        }
-    }
-    let mut cost = vec![Rat::ZERO; cols_n];
-    cost[..n].copy_from_slice(lp.objective());
-    SparseBuilt {
-        cols,
-        cost,
-        rhs,
-        is_artificial,
-        row_flip,
-    }
-}
-
-/// The exact rational reduced-cost sweep of the dense certifier: every
-/// nonbasic non-artificial column must price out nonnegative.
-fn dense_exact_sweep(sb: &SparseBuilt, in_basis: &[bool], y: &[Rat]) -> bool {
-    for j in 0..sb.cols.len() {
-        if in_basis[j] || sb.is_artificial[j] {
-            continue;
-        }
-        let mut d = sb.cost[j];
-        for (i, v) in &sb.cols[j] {
-            d = d.sub(&y[*i].mul(v));
-        }
-        if d.is_neg() {
-            return false;
-        }
-    }
-    true
-}
-
-/// The directed-rounding interval tier of the dense certifier: the flat
-/// (no VUB gluing) analogue of [`interval_dual_sweep`], with the same
-/// per-column exact rescue and the same escalation cap.
-fn dense_interval_sweep(sb: &SparseBuilt, in_basis: &[bool], y: &[Rat]) -> IvSweep {
-    let ivy: Vec<Iv> = y.iter().map(Iv::from_rat).collect();
-    let rescue_cap = 8 + sb.cols.len() / 8;
-    let mut rescued = 0usize;
-    for j in 0..sb.cols.len() {
-        if in_basis[j] || sb.is_artificial[j] {
-            continue;
-        }
-        let mut d = Iv::from_rat(&sb.cost[j]);
-        for (i, v) in &sb.cols[j] {
-            d = d - ivy[*i] * Iv::from_rat(v);
-        }
-        if d.proves_neg() {
-            return IvSweep::Refuted;
-        }
-        if d.proves_nonneg() {
-            continue;
-        }
-        rescued += 1;
-        if rescued > rescue_cap {
-            return IvSweep::Inconclusive;
-        }
-        let mut dx = sb.cost[j];
-        for (i, v) in &sb.cols[j] {
-            dx = dx.sub(&y[*i].mul(v));
-        }
-        if dx.is_neg() {
-            return IvSweep::Refuted;
-        }
-    }
-    IvSweep::Proven
-}
-
-/// Certifies `target` (a basis proposed by the float pass) exactly via a
-/// sparse LU of the basis matrix — primal values and duals are solved
-/// from the factorization instead of re-pivoting a dense exact tableau,
-/// and the reduced-cost sweep is discharged by the tier policy in `mode`
-/// (see [`CertifyMode`]). Returns the exact solution (bit-identical to
-/// the old tableau read-out: basic values and duals are uniquely
-/// determined by the basis) on success, `None` if the basis is singular,
-/// primal infeasible, dual infeasible, or keeps an artificial at nonzero
-/// value. An inconclusive interval sweep under `CertifyMode::Interval`
-/// also returns `None`: the dense hybrid's fallback is its escalation
-/// path.
-fn verify_basis(
-    lp: &LpProblem<Rat>,
-    target: &[usize],
-    mode: CertifyMode,
-    tally: &mut CertifyTally,
-) -> Option<LpSolution<Rat>> {
-    let sb = build_sparse(lp);
-    let m = sb.rhs.len();
-    let cols_n = sb.cols.len();
-    if target.len() != m {
-        return None;
-    }
-    let mut in_basis = vec![false; cols_n];
-    for &c in target {
-        if c >= cols_n || std::mem::replace(&mut in_basis[c], true) {
-            return None; // out of range or duplicated column
-        }
-    }
-    let bcols: Vec<Vec<(usize, Rat)>> = target.iter().map(|&c| sb.cols[c].clone()).collect();
-    let lu = SparseLu::factor(m, &bcols)?;
-    // Exact primal feasibility: nonbasics rest at zero, `B·x_B = b`,
-    // every basic value ≥ 0, and no artificial stuck at nonzero value.
-    let xb = lu.solve(&sb.rhs);
-    for (k, &c) in target.iter().enumerate() {
-        if xb[k].is_neg() || (sb.is_artificial[c] && !xb[k].is_zero_s()) {
-            return None;
-        }
-    }
-    // Exact duals from `Bᵀ·y = c_B`, then the tiered reduced-cost sweep.
-    let cb: Vec<Rat> = target.iter().map(|&c| sb.cost[c]).collect();
-    let y = lu.solve_transposed(&cb);
-    let dual_ok = match mode {
-        CertifyMode::Exact => dense_exact_sweep(&sb, &in_basis, &y),
-        CertifyMode::Interval | CertifyMode::IntervalThenExact => {
-            let tick = Instant::now();
-            let sweep = dense_interval_sweep(&sb, &in_basis, &y);
-            tally.interval_nanos += tick.elapsed().as_nanos() as u64;
-            match sweep {
-                IvSweep::Proven => {
-                    tally.interval_accepts = 1;
-                    true
-                }
-                IvSweep::Refuted => false,
-                IvSweep::Deadline => unreachable!("the dense certifier has no deadline"),
-                IvSweep::Inconclusive => {
-                    tally.interval_escalations = 1;
-                    mode == CertifyMode::IntervalThenExact && dense_exact_sweep(&sb, &in_basis, &y)
-                }
-            }
-        }
-    };
-    if !dual_ok {
-        return None;
-    }
-    let n = lp.num_vars();
-    let mut x = vec![Rat::ZERO; n];
-    for (k, &c) in target.iter().enumerate() {
-        if c < n {
-            x[c] = xb[k];
-        }
-    }
-    let objective = lp.objective_value(&x);
-    let duals: Vec<Rat> = y
-        .iter()
-        .zip(&sb.row_flip)
-        .map(|(yi, flip)| if *flip { yi.neg() } else { *yi })
-        .collect();
-    Some(LpSolution {
-        status: LpStatus::Optimal,
-        objective,
-        x,
-        duals,
-    })
-}
-
 /// The dense hybrid engine behind [`crate::api::solve_lp`]'s
 /// `DenseHybrid` backend: runs the simplex in `f64`, re-verifies the
 /// terminal basis in exact rationals, and falls back to the pure exact
@@ -862,9 +632,28 @@ pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, mode: CertifyMode) -> LpReport {
         stats: SolveStats::default(),
     };
     if fsol.status == LpStatus::Optimal {
-        let certify = std::time::Instant::now();
-        let mut tally = CertifyTally::default();
-        if let Some(solution) = verify_basis(lp, &fbasis, mode, &mut tally) {
+        // The row encoding has no implicit bounds or VUBs, and
+        // `StandardForm::build` numbers its columns exactly like [`build`],
+        // so the float basis is a bounded proposal with every nonbasic
+        // column at zero.
+        let certify = Instant::now();
+        let sf = StandardForm::build(lp);
+        let mut state = vec![VarState::AtLower; sf.ncols];
+        for &j in &fbasis {
+            if let Some(s) = state.get_mut(j) {
+                *s = VarState::Basic;
+            }
+        }
+        let prop = BoundedBasis {
+            status: BoundedStatus::Optimal,
+            basis: fbasis,
+            state,
+            pivots: 0,
+            bound_flips: 0,
+            refactorizations: 0,
+        };
+        let (outcome, tally) = verify_bounded(lp, &sf, &prop, None, mode);
+        if let Certified::Verified(solution) = outcome {
             apply_certify(&mut rep.stats, certify.elapsed().as_nanos() as u64, &tally);
             rep.solution = solution;
             return rep;

@@ -47,8 +47,8 @@
 //!
 //! A snapshot is keyed to the standard-form *shape*: row count `m` and
 //! column count `ncols` are prechecked here, and the install step's
-//! factorization + feasibility check covers the rest. Callers that batch
-//! siblings (the planner in `abt-active::lp_model`) group problems by an
+//! factorization + feasibility check covers the rest. The incremental
+//! driver in `abt-active::incremental` keys its snapshot pools by an
 //! exact structural signature first, so installs almost never fail; a
 //! caller that hands in a stale snapshot merely pays the cold solve it
 //! would have run anyway.

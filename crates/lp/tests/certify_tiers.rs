@@ -6,6 +6,7 @@
 
 use abt_lp::{
     solve, solve_lp, CertifyMode, Cmp, LpProblem, LpStatus, Rat, SolveFailure, SolveOptions,
+    SolverBackend,
 };
 use proptest::prelude::*;
 
@@ -47,6 +48,20 @@ proptest! {
             vub_lp.set_upper(key, r(ub));
         }
         let oracle = solve(&row_lp);
+        // The dense hybrid certifies its float basis of the row encoding
+        // through the same certifier: the oracle's answer, and exactly
+        // one tier verdict whenever it did not fall back.
+        let hybrid = solve_lp(&row_lp, &SolveOptions::new().backend(SolverBackend::DenseHybrid))
+            .expect("the dense hybrid never fails");
+        prop_assert_eq!(hybrid.solution.status.clone(), oracle.status.clone());
+        if oracle.status == LpStatus::Optimal {
+            prop_assert_eq!(hybrid.solution.objective, oracle.objective);
+            prop_assert!(row_lp.is_feasible(&hybrid.solution.x));
+            if !hybrid.fallback {
+                prop_assert_eq!(
+                    hybrid.stats.interval_accepts + hybrid.stats.interval_escalations, 1);
+            }
+        }
         let exact = solve_lp(&vub_lp, &SolveOptions::new().certify(CertifyMode::Exact));
         let tiered =
             solve_lp(&vub_lp, &SolveOptions::new().certify(CertifyMode::IntervalThenExact));

@@ -6,12 +6,11 @@
 //! [`many_components`](crate::random::many_components)) receives its jobs
 //! from one of `templates` fixed window layouts, so the LP1 components of
 //! same-template stripes are **structural twins** — identical run
-//! structure and per-job run spans, different job lengths. That is
-//! exactly the shape the batch planner (`WarmMode::Batch` in
-//! `abt-active::lp_model`) groups for warm-started sibling solves, and
-//! the arrival stream (stripe-major order) is exactly the regime the
-//! incremental driver (`abt-active::incremental`) serves: every arrival
-//! dirties one component whose shape echoes earlier ones. The online
+//! structure and per-job run spans, different job lengths. The arrival
+//! stream (stripe-major order) is exactly the regime the incremental
+//! driver (`abt-active::incremental`) serves: every arrival dirties one
+//! component whose shape echoes earlier ones, so it re-solves warm from
+//! that shape's snapshot pool. The online
 //! active-time setting follows Chang–Khuller–Mukherjee (arXiv:1610.08154);
 //! the nested/structured window layouts follow Cao et al.
 //! (arXiv:2207.12507).
